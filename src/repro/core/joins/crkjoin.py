@@ -10,6 +10,10 @@ bottleneck is gone, those passes are pure overhead: CrkJoin lands at
 ~60 M rows/s in Fig. 1/3, 12x slower than RHO and 20x slower than the
 SGXv2-optimized RHO.  After partitioning it joins each partition with the
 same in-cache hash method as RHO.
+
+As in RHO, the partition split is priced, not executed: the cracking
+passes and the per-partition join are cost profiles, and the rows come
+from RHO's exact global match (:func:`~repro.core.joins.radix.match_first`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
-from repro.core.joins.radix import partitioned_match
+from repro.core.joins.radix import match_first
 from repro.core.structures.hashtable import table_bytes_for
 from repro.machine import ExecutionContext
 from repro.memory.access import AccessBatch, AccessProfile, CodeVariant, PatternKind
@@ -124,9 +128,9 @@ class CrkJoin(JoinAlgorithm):
         bits = self.choose_radix_bits(build)
         num_partitions = 1 << bits
 
-        # ---- real computation (in-place cracking ends in the same
-        # grouping as radix partitioning by the low bits) ------------------
-        build_index, hit_mask = partitioned_match(build, probe, num_partitions)
+        # ---- real computation (cracking only regroups rows, so the
+        # match is the global one) -----------------------------------------
+        build_index, hit_mask = match_first(build, probe)
         matches = int(hit_mask.sum())
 
         # ---- cost: cracking passes (one per radix bit, both inputs);

@@ -9,6 +9,11 @@ comes from the *loop-execution* effect of Sec. 4.2 (histogram creation up
 to 4x slower) rather than from memory encryption.  The ``variant``
 parameter selects the naive loops (Listing 1) or the manually
 unrolled-and-reordered ones (Listing 2), the paper's headline optimization.
+
+The partition split is priced, not executed: the histogram, scatter and
+per-partition build/probe phases are cost profiles over the logical
+partition count and sizes, while the rows come from one exact global
+match (:func:`match_first`), which a partitioned join cannot change.
 """
 
 from __future__ import annotations
@@ -50,62 +55,49 @@ _PROBE_SENSITIVITY = 0.15
 _SCATTER_STATE_BYTES = 256
 
 
+def group_rows(ids: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable counting-sort grouping of rows by a small integer id.
+
+    Returns ``(order, offsets)``: ``order`` permutes rows into group order
+    and ``offsets[g]:offsets[g+1]`` bounds group ``g``.  The sort is stable,
+    so rows keep their ascending order inside each group.
+    """
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=num_groups)
+    offsets = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return order, offsets
+
+
 def radix_partition(
     keys: np.ndarray, num_partitions: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Group rows by their low key bits.
 
-    Returns ``(order, offsets)``: ``order`` permutes rows into partition
-    order and ``offsets[p]:offsets[p+1]`` bounds partition ``p``.  The
-    grouping is computed exactly as the C code does — partition id =
-    ``key & (P - 1)`` — with the physical reordering done by one stable
-    sort (the result of the two radix passes is identical).
+    Returns ``(order, offsets)`` as :func:`group_rows` does, with partition
+    id = ``key & (P - 1)`` exactly as the C code computes it.  This is the
+    grouping the priced partition passes model; the join itself does not
+    need it (see :func:`match_first`).
     """
-    mask = num_partitions - 1
-    pids = np.asarray(keys).astype(np.int64) & mask
-    order = np.argsort(pids, kind="stable")
-    counts = np.bincount(pids, minlength=num_partitions)
-    offsets = np.zeros(num_partitions + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return order, offsets
+    pids = np.asarray(keys).astype(np.int64) & (num_partitions - 1)
+    return group_rows(pids, num_partitions)
 
 
-def partitioned_match(
-    build: Table,
-    probe: Table,
-    num_partitions: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Join co-partitioned inputs partition by partition.
+def match_first(build: Table, probe: Table) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact key match of every probe row against the whole build side.
 
-    Returns ``(build_index, hit_mask)`` aligned to the probe table's
-    original row order: ``build_index[i]`` is the matching build row of
-    probe row ``i`` (foreign-key joins have at most one).  Shared by RHO
-    and CrkJoin, which use the same in-cache join method (Sec. 4).
+    Returns ``(build_index, hit_mask)`` aligned to the probe table's row
+    order: ``build_index[i]`` is the highest build row whose key equals
+    probe key ``i`` (foreign-key joins have exactly one), or -1.
+
+    This is the result of a partitioned join too: equal keys always land
+    in the same partition, and chained insertion returns the highest build
+    index among equal keys either way.  So RHO, CrkJoin and the Grace
+    spill join run this one global table and price their partitioning
+    analytically instead of executing it.
     """
-    r_keys, r_payloads = build["key"], build["payload"]
-    s_keys = probe["key"]
-    if num_partitions > 4096 or num_partitions >= len(r_keys):
-        # Degenerate fan-outs (tiny partitions, e.g. the Fig. 10 contention
-        # experiment) would spend all wall-clock time in the Python loop
-        # below; one global hash join produces the identical result.
-        table = ChainedHashTable(r_keys, r_payloads)
-        index, _hits = table.probe_first(s_keys)
-        return index, index >= 0
-    r_order, r_offsets = radix_partition(build["key"], num_partitions)
-    s_order, s_offsets = radix_partition(probe["key"], num_partitions)
-    build_index = np.full(len(s_keys), -1, dtype=np.int64)
-    for p in range(num_partitions):
-        r_lo, r_hi = r_offsets[p], r_offsets[p + 1]
-        s_lo, s_hi = s_offsets[p], s_offsets[p + 1]
-        if r_hi == r_lo or s_hi == s_lo:
-            continue
-        r_rows = r_order[r_lo:r_hi]
-        s_rows = s_order[s_lo:s_hi]
-        table = ChainedHashTable(r_keys[r_rows], r_payloads[r_rows])
-        local_index, hits = table.probe_first(s_keys[s_rows])
-        matched = s_rows[hits]
-        build_index[matched] = r_rows[local_index[hits]]
-    return build_index, build_index >= 0
+    table = ChainedHashTable(build["key"], build["payload"])
+    return table.probe_first(probe["key"])
 
 
 class RadixJoin(JoinAlgorithm):
@@ -225,7 +217,7 @@ class RadixJoin(JoinAlgorithm):
         num_partitions = 1 << total_bits
 
         # ---- real computation -------------------------------------------
-        build_index, hit_mask = partitioned_match(build, probe, num_partitions)
+        build_index, hit_mask = match_first(build, probe)
         matches = int(hit_mask.sum())
 
         # Scratch space for the out-of-place partition passes (pre-sized,

@@ -2,12 +2,17 @@
 
 The table is the classical design the paper's joins use: an array of bucket
 heads plus per-tuple chain links.  Construction and probing are vectorized
-over numpy, but semantically identical to the pointer-chasing C version:
-insertion prepends to the bucket's chain under a per-bucket latch, probing
-walks the chain comparing keys.
+over numpy.  They reproduce the C version's *linkage*: insertion prepends
+to the bucket's chain, so a probe returns the highest build index among
+equal keys.  The chain walk itself is a vectorized loop over all probes,
+not the C pointer chase, and is not what the cost model prices.
 
-The multiplicative hash is Knuth's: ``(key * 2654435761) >> shift`` masked
-to the bucket count, matching the radix-style hashing of the paper's code.
+The hash is Knuth's multiplicative ``key * 2654435761`` masked to its low
+bits (no shift).  That is *not* the paper's radix-join hashing, which
+skips the radix bits inside a partition.  Every table here is global over
+its build side, where the low-bit mask spreads dense keys perfectly; a
+per-partition table under it would put all of a partition's keys, which
+share their low bits, into a few long chains.
 """
 
 from __future__ import annotations

@@ -10,11 +10,12 @@ byte pays seal + I/O on the way out and unseal + I/O on the way back
 crossover is a priced trade the planner can reason about, not a free
 escape hatch.
 
-Results are **bag-identical** to the in-memory variants: the real
-computation is the same numpy join/aggregate run per partition, and a hash
-partition never splits a key group across partitions.  When the working
-set already fits the budget, both operators skip the partition pass
-entirely and degenerate to their in-memory counterparts (zero sealed
+Results are **bag-identical** to the in-memory variants: a hash partition
+never splits a key group across partitions, so the join's rows come from
+one exact global match (its partitioning is priced, not executed) and the
+aggregate runs the same numpy aggregation once per partition.  When the
+working set already fits the budget, both operators skip the partition
+pass entirely and degenerate to their in-memory counterparts (zero sealed
 bytes) — the property the planner's crossover pricing relies on.
 """
 
@@ -25,8 +26,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
+from repro.core.joins.radix import group_rows, match_first
 from repro.core.ops.aggregate import AggFunc, AggregateResult, HashAggregate
-from repro.core.structures.hashtable import ChainedHashTable, table_bytes_for
+from repro.core.structures.hashtable import table_bytes_for
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionContext
 from repro.memory.access import (
@@ -192,33 +194,21 @@ class GraceHashJoin(JoinAlgorithm):
             spilled_bytes = 0.0
 
         # ---- partition-wise build + probe -------------------------------
-        build_index = np.full(len(probe_keys), -1, dtype=np.int64)
-        hit_mask = np.zeros(len(probe_keys), dtype=bool)
-        logical_table_bytes = 0.0
-        for part in range(partitions):
-            build_rows = np.flatnonzero(build_parts == part)
-            probe_rows = np.flatnonzero(probe_parts == part)
-            if len(probe_rows) == 0:
-                continue
-            table = ChainedHashTable(
-                build_keys[build_rows],
-                build["payload"][build_rows],
-                self.load_factor,
-            )
-            local_index, local_hits = table.probe_first(probe_keys[probe_rows])
-            hits = probe_rows[local_hits]
-            build_index[hits] = build_rows[local_index[local_hits]]
-            hit_mask[hits] = True
-            logical_table_bytes = max(
-                logical_table_bytes,
-                float(
-                    table_bytes_for(
-                        max(1, int(len(build_rows) * build.sim_scale)),
-                        self.load_factor,
-                    )
-                ),
-            )
+        # A hash partition never splits a key, so one global match is the
+        # partition-wise result.  The priced table is the largest one a
+        # partition with at least one probe row would build.
+        build_index, hit_mask = match_first(build, probe)
         matches = int(hit_mask.sum())
+        build_sizes = np.bincount(build_parts, minlength=partitions)
+        probed = np.bincount(probe_parts, minlength=partitions) > 0
+        logical_table_bytes = 0.0
+        if probed.any():
+            largest = int(build_sizes[probed].max())
+            logical_table_bytes = float(
+                table_bytes_for(
+                    max(1, int(largest * build.sim_scale)), self.load_factor
+                )
+            )
         ctx.allocate("grace-hash-table", int(logical_table_bytes))
 
         build_share = self.split_rows(build.logical_rows, threads)
@@ -376,12 +366,14 @@ class ExternalGroupAggregate:
         partition_cycles = executor.total_cycles()
 
         # ---- per-partition in-memory aggregation -------------------------
-        part_of = _partition_of(keys, partitions)
+        part_order, part_offsets = group_rows(
+            _partition_of(keys, partitions), partitions
+        )
         group_chunks = []
         agg_chunks: Dict[str, list] = {}
         total_cycles = partition_cycles
         for part in range(partitions):
-            rows = np.flatnonzero(part_of == part)
+            rows = part_order[part_offsets[part] : part_offsets[part + 1]]
             if len(rows) == 0:
                 continue
             result = inner.run(
