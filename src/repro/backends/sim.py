@@ -10,6 +10,7 @@ simulated and byte-deterministic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
@@ -29,8 +30,8 @@ from repro.core.scans.simd_scan import BitvectorScan
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.memory.access import CodeVariant
-from repro.backends.config import use_backend_mode
 from repro.planner.candidates import build_join, static_candidate
+from repro.runconfig import current_run, use_run
 from repro.trace import NullTracer, use_tracer
 from repro.workload.jobs import JobCatalog, JobKind
 
@@ -56,10 +57,10 @@ class SimBackend(Backend):
         template = query.template
         dataset = handle.dataset
         rows = self.compute_rows(dataset)
-        # Pin the sim mode: under an ambient engine mode the catalog
+        # Pin the sim mode: under a session engine mode the catalog
         # would otherwise delegate right back to the engine bridge (and
         # the bridge's equivalence gate runs this backend — recursion).
-        with use_backend_mode("sim"):
+        with use_run(replace(current_run(), backend="sim")):
             plain = self.catalog.cost(template, _PLAIN)
             enclave = self.catalog.cost(template, _SGX_IN)
         profile = MeasuredProfile(

@@ -38,42 +38,33 @@ import contextlib
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.bench.registry import get_experiment, run_experiment
 from repro.bench.report import ExperimentReport
 from repro.bench.runner import DEFAULT_BASE_SEED, use_repetition_jobs
 from repro.cache import MemoStore, calibration_digest, experiment_key
 from repro.errors import BenchmarkError
-from repro.faults.plan import FaultPlan
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig
 from repro.trace import Tracer
 
-#: Worker payload: (experiment_id, quick, base_seed, traced,
-#: repetition_jobs, fault_plan, planner, cluster, storage, backend,
-#: rewrite, memo_enabled, memo_dir).  The plan, the planner mode, the
-#: cluster config, the storage config, the backend mode, the rewrite
-#: mode, and the memo switches ride into spawned workers as pickled
-#: values — spawn inherits no ambient
-#: ``use_fault_plan``/``use_planner_mode``/``use_cluster``/
-#: ``use_storage``/``use_backend_mode``/``use_rewrite``/
-#: ``use_profile_memo`` state, so the explicit slots are the only
-#: channel.
-_Task = Tuple[
-    str,
-    bool,
-    int,
-    bool,
-    int,
-    Optional[FaultPlan],
-    Optional[str],
-    object,
-    object,
-    Optional[str],
-    Optional[str],
-    bool,
-    Optional[str],
-]
+@dataclass(frozen=True)
+class _Task:
+    """One experiment's worker payload.
+
+    Spawned workers inherit no ambient state (run config, seed, memo), so
+    every setting rides in here as a pickled value.
+    """
+
+    experiment_id: str
+    quick: bool
+    base_seed: int
+    traced: bool
+    repetition_jobs: int
+    run: RunConfig
+    memo: bool
+    memo_dir: Optional[str]
 
 
 @dataclass
@@ -130,121 +121,53 @@ class SessionResult:
         return path
 
 
-def _execute(
-    experiment_id: str,
-    *,
-    quick: bool,
-    base_seed: int,
-    traced: bool,
-    repetition_jobs: int,
-    machine: Optional[SimMachine] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
-) -> Dict:
-    """Run one experiment and return its JSON-safe result payload."""
+def _worker(task: _Task, machine: Optional[SimMachine] = None) -> Dict:
+    """Run one task; return its JSON-safe result payload.
+
+    The process-pool entry point (top-level so spawn can pickle it) and
+    the serial path alike.  ``task.memo=False`` installs the disabled
+    profile memo (the ``--no-memo`` path); a ``memo_dir`` a disk-backed
+    tier shared by every worker and every later session over the same
+    ``--cache`` dir; otherwise the ambient process-global memo stays.
+    The memo's hit/miss *delta* rides on the payload (pool workers are
+    reused across tasks, and the ambient memo outlives the session), so
+    summing the payload stats across tasks never double-counts.
+    """
+    from repro.cache import ProfileMemo, profile_memo, use_profile_memo
+
+    if not task.memo:
+        memo_scope = use_profile_memo(None)
+    elif task.memo_dir is not None:
+        memo_scope = use_profile_memo(ProfileMemo(task.memo_dir))
+    else:
+        memo_scope = contextlib.nullcontext()
     start = time.perf_counter()
-    tracer = Tracer(label=experiment_id) if traced else None
-    with use_repetition_jobs(repetition_jobs):
+    tracer = Tracer(label=task.experiment_id) if task.traced else None
+    with memo_scope, use_repetition_jobs(task.repetition_jobs):
+        memo = profile_memo()
+        hits_before, misses_before = memo.hits, memo.misses
         report = run_experiment(
-            experiment_id,
+            task.experiment_id,
             machine,
-            quick=quick,
+            quick=task.quick,
             tracer=tracer,
-            base_seed=base_seed,
-            fault_plan=fault_plan,
-            planner=planner,
-            cluster=cluster,
-            storage=storage,
-            backend=backend,
-            rewrite=rewrite,
+            base_seed=task.base_seed,
+            run=task.run,
         )
-    payload: Dict = {
-        "report": report.as_dict(),
-        "trace_jsonl": None,
-        "trace_csv": None,
-        "wall_s": time.perf_counter() - start,
-    }
+        payload: Dict = {
+            "report": report.as_dict(),
+            "trace_jsonl": None,
+            "trace_csv": None,
+            "wall_s": time.perf_counter() - start,
+            "memo_hits": memo.hits - hits_before,
+            "memo_misses": memo.misses - misses_before,
+        }
     if tracer is not None:
         from repro.trace import to_csv, to_jsonl
 
         payload["trace_jsonl"] = to_jsonl(tracer)
         payload["trace_csv"] = to_csv(tracer)
     return payload
-
-
-def _memo_scope(enabled: bool, memo_dir: Optional[str]):
-    """The profile-memo context one task runs under.
-
-    ``enabled=False`` installs the disabled sentinel (the ``--no-memo``
-    path); an explicit directory installs a disk-backed tier (shared by
-    every worker and every later session over the same ``--cache`` dir);
-    otherwise the ambient process-global memo is left in place.
-    """
-    from repro.cache import ProfileMemo, use_profile_memo
-
-    if not enabled:
-        return use_profile_memo(None)
-    if memo_dir is not None:
-        return use_profile_memo(ProfileMemo(memo_dir))
-    return contextlib.nullcontext()
-
-
-def _executed_with_memo_stats(
-    experiment_id: str, memo_enabled: bool, memo_dir: Optional[str], **kwargs
-) -> Dict:
-    """Run one experiment inside a memo scope; stats ride on the payload.
-
-    The hit/miss *delta* is recorded (pool workers are reused across
-    tasks, and the ambient memo outlives the session), so summing the
-    payload stats across tasks never double-counts.
-    """
-    from repro.cache import profile_memo
-
-    with _memo_scope(memo_enabled, memo_dir):
-        memo = profile_memo()
-        hits_before, misses_before = memo.hits, memo.misses
-        payload = _execute(experiment_id, **kwargs)
-        payload["memo_hits"] = memo.hits - hits_before
-        payload["memo_misses"] = memo.misses - misses_before
-    return payload
-
-
-def _worker(task: _Task) -> Dict:
-    """Process-pool entry point (top-level so spawn can pickle it)."""
-    (
-        experiment_id,
-        quick,
-        base_seed,
-        traced,
-        repetition_jobs,
-        fault_plan,
-        planner,
-        cluster,
-        storage,
-        backend,
-        rewrite,
-        memo_enabled,
-        memo_dir,
-    ) = task
-    return _executed_with_memo_stats(
-        experiment_id,
-        memo_enabled,
-        memo_dir,
-        quick=quick,
-        base_seed=base_seed,
-        traced=traced,
-        repetition_jobs=repetition_jobs,
-        fault_plan=fault_plan,
-        planner=planner,
-        cluster=cluster,
-        storage=storage,
-        backend=backend,
-        rewrite=rewrite,
-    )
 
 
 def _run_from_payload(
@@ -269,12 +192,7 @@ def run_session(
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
     traced: bool = False,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> SessionResult:
     """Run ``experiment_ids`` (possibly in parallel, possibly cached).
@@ -286,22 +204,13 @@ def run_session(
     and returns its exported texts on each :class:`ExperimentRun`.  A
     non-default ``machine`` runs in-process (live machine objects stay out
     of worker pickles) but still keys the cache by its calibration digest.
-    ``faults`` installs a session fault plan for every run — threaded
-    explicitly into workers and hashed into every cache key, so serial,
-    parallel, and cached-replay runs of one plan stay byte-identical while
-    differently-faulted runs never collide.  ``planner`` installs a
-    session planner mode through the same three channels (in-process
-    scope, worker task slot, cache key) with the same guarantee, and
-    ``cluster`` (a :class:`~repro.cluster.ClusterConfig`) a session
-    cluster topology likewise, and ``storage`` (a
-    :class:`~repro.storage.StorageConfig`) a session sealed-storage
-    budget likewise, and ``backend`` a session backend mode likewise
-    (``None``/``"sim"`` key identically — both serve the operator
-    simulator), and ``rewrite`` a session rewrite mode likewise
-    (``None``/``"off"`` key identically — both serve the reference
-    logical plans).  ``memo=False`` disables the per-query
-    profile memo for every run (the ``--no-memo`` channel); memoized and
-    unmemoized runs are byte-identical, so the flag is never keyed.
+    ``run`` (default ``RunConfig()``) holds the session settings: it is
+    installed for every run, pickled into workers and hashed into every
+    cache key, so serial, parallel and cached-replay runs of one config
+    stay byte-identical while different configs never collide.
+    ``memo=False`` disables the per-query profile memo for every run (the
+    ``--no-memo`` channel); memoized and unmemoized runs are
+    byte-identical, so the flag is never keyed.
     """
     ids = list(experiment_ids)
     for experiment_id in ids:
@@ -310,6 +219,8 @@ def run_session(
         raise BenchmarkError(f"jobs must be at least 1, got {jobs}")
     if base_seed is None:
         base_seed = DEFAULT_BASE_SEED
+    if run is None:
+        run = RunConfig()
     store: Optional[MemoStore]
     if cache is None or isinstance(cache, MemoStore):
         store = cache
@@ -335,25 +246,20 @@ def run_session(
                 traced=traced,
                 params=params,
                 spec=spec,
-                faults=faults,
-                planner=planner,
-                cluster=cluster,
-                storage=storage,
-                backend=backend,
-                rewrite=rewrite,
+                run=run,
             )
             payload = store.get(keys[experiment_id])
-            run: Optional[ExperimentRun] = None
+            hit: Optional[ExperimentRun] = None
             if payload is not None:
                 try:
-                    run = _run_from_payload(experiment_id, payload, from_cache=True)
-                    run.wall_s = 0.0  # a hit costs no simulation time
+                    hit = _run_from_payload(experiment_id, payload, from_cache=True)
+                    hit.wall_s = 0.0  # a hit costs no simulation time
                 except BenchmarkError:
-                    run = None  # malformed entry: recompute below
-            if run is not None and traced and run.trace_jsonl is None:
-                run = None  # entry predates tracing for this key shape
-            if run is not None:
-                results[experiment_id] = run
+                    hit = None  # malformed entry: recompute below
+            if hit is not None and traced and hit.trace_jsonl is None:
+                hit = None  # entry predates tracing for this key shape
+            if hit is not None:
+                results[experiment_id] = hit
                 session.tracer.count("bench.cache.hits")
                 session.tracer.event("bench.cache.hit", experiment=experiment_id)
             else:
@@ -374,26 +280,21 @@ def run_session(
     # remainder as repetition threads inside each worker.
     repetition_jobs = max(1, jobs // len(pending)) if pending else 1
 
+    tasks = [
+        _Task(
+            experiment_id, quick, base_seed, traced, repetition_jobs, run,
+            memo, memo_dir,
+        )
+        for experiment_id in pending
+    ]
     if pending:
         if jobs <= 1 or len(pending) == 1 or machine is not None:
-            for experiment_id in pending:
-                payload = _executed_with_memo_stats(
-                    experiment_id,
-                    memo,
-                    memo_dir,
-                    quick=quick,
-                    base_seed=base_seed,
-                    traced=traced,
-                    repetition_jobs=repetition_jobs,
-                    machine=machine,
-                    fault_plan=faults,
-                    planner=planner,
-                    cluster=cluster,
-                    storage=storage,
-                    backend=backend,
-                    rewrite=rewrite,
+            for task in tasks:
+                payload = _worker(task, machine)
+                _absorb(
+                    session, results, store, keys, digest, task.experiment_id,
+                    payload,
                 )
-                _absorb(session, results, store, keys, digest, experiment_id, payload)
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -403,33 +304,13 @@ def run_session(
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=spawn
             ) as pool:
-                futures = {
-                    experiment_id: pool.submit(
-                        _worker,
-                        (
-                            experiment_id,
-                            quick,
-                            base_seed,
-                            traced,
-                            repetition_jobs,
-                            faults,
-                            planner,
-                            cluster,
-                            storage,
-                            backend,
-                            rewrite,
-                            memo,
-                            memo_dir,
-                        ),
-                    )
-                    for experiment_id in pending
-                }
+                futures = [pool.submit(_worker, task) for task in tasks]
                 # Collect in request order: completion order never leaks
                 # into the merged output.
-                for experiment_id in pending:
-                    payload = futures[experiment_id].result()
+                for task, future in zip(tasks, futures):
                     _absorb(
-                        session, results, store, keys, digest, experiment_id, payload
+                        session, results, store, keys, digest,
+                        task.experiment_id, future.result(),
                     )
 
     session.runs = [results[experiment_id] for experiment_id in ids]

@@ -18,8 +18,8 @@ from repro.bench.report import ExperimentReport
 from repro.bench.validate import CalibrationValidator
 from repro.cache import MemoStore
 from repro.errors import BenchmarkError
-from repro.faults.plan import FaultPlan
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig
 
 
 def _experiment_section(report: ExperimentReport) -> str:
@@ -60,12 +60,7 @@ def build_report(
     jobs: int = 1,
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> str:
     """Render the full Markdown report for ``experiment_ids`` (default all).
@@ -78,15 +73,10 @@ def build_report(
     ``jobs`` fans the experiments out across worker processes and ``cache``
     memoizes their results (see :func:`repro.bench.parallel.run_session`);
     the rendered report is byte-identical for any ``jobs``/``cache``
-    combination.  ``faults`` applies a session fault plan to every run
-    (the ``--faults`` channel); ``planner`` a session planner mode (the
-    ``--planner`` channel); ``cluster`` a session cluster topology (the
-    ``--cluster`` channel); ``storage`` a session sealed-storage budget
-    (the ``--storage`` channel); ``backend`` a session backend mode (the
-    ``--backend`` channel); ``rewrite`` a session rewrite mode (the
-    ``--rewrite`` channel); ``memo=False`` disables the per-query profile
-    memo (the ``--no-memo`` channel) — output bytes are identical either
-    way, only wall-clock changes.
+    combination.  ``run`` applies the session settings
+    (:class:`~repro.runconfig.RunConfig`) to every run; ``memo=False``
+    disables the per-query profile memo (the ``--no-memo`` channel) —
+    output bytes are identical either way, only wall-clock changes.
     """
     ids: List[str] = sorted(experiment_ids or EXPERIMENTS)
     for experiment_id in ids:
@@ -126,12 +116,7 @@ def build_report(
         cache=cache,
         base_seed=base_seed,
         traced=trace_dir is not None,
-        faults=faults,
-        planner=planner,
-        cluster=cluster,
-        storage=storage,
-        backend=backend,
-        rewrite=rewrite,
+        run=run,
         memo=memo,
     )
     for run in session.runs:
@@ -163,12 +148,7 @@ def write_report(
     jobs: int = 1,
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    planner: Optional[str] = None,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
+    run: Optional[RunConfig] = None,
     memo: bool = True,
 ) -> pathlib.Path:
     """Build the report and write it to ``path``; returns the path."""
@@ -184,12 +164,7 @@ def write_report(
             jobs=jobs,
             cache=cache,
             base_seed=base_seed,
-            faults=faults,
-            planner=planner,
-            cluster=cluster,
-            storage=storage,
-            backend=backend,
-            rewrite=rewrite,
+            run=run,
             memo=memo,
         )
     )

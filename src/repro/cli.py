@@ -10,11 +10,78 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import sys
 from typing import List, Optional
 
+from repro.backends.config import require_available
 from repro.bench.registry import EXPERIMENTS
+from repro.cluster.config import ClusterConfig
+from repro.errors import ConfigurationError
+from repro.faults.plan import get_fault_plan
+from repro.planner import validate_mode as validate_planner
+from repro.rewrite.config import validate_mode as validate_rewrite
+from repro.runconfig import RunConfig
+from repro.storage.config import StorageConfig
+
+#: The six session flags, one row per :class:`RunConfig` field:
+#: ``(field, metavar, parser, help)``.  Every parser raises
+#: :class:`ConfigurationError` on bad input, which :func:`main` turns into
+#: exit 2 before any output directory exists.
+RUN_FLAGS = (
+    (
+        "faults", "PLAN", get_fault_plan,
+        "inject a named, seeded fault plan into every serving run "
+        "(AEX storms, EDMM denials, enclave crashes, EPC squeezes, "
+        "poisoned jobs); same plan + same seed is bit-reproducible; "
+        "see repro.faults.fault_plans for the catalog"
+    ),
+    (
+        "planner", "MODE",
+        functools.partial(validate_planner, allow_oracle=False),
+        "plan serving queries with MODE: 'static' (the historical "
+        "hardcoded plans; the default), 'cost' (the SGX-aware cost "
+        "model picks each template's plan), or 'adaptive' (seeded "
+        "epsilon-greedy refinement of the cost ranking from observed "
+        "latencies; deterministic for a fixed --seed)"
+    ),
+    (
+        "cluster", "SPEC", ClusterConfig.parse,
+        "serve every workload over a shard map of enclaves instead of "
+        "one enclave: SPEC is 'SOCKETSxENCLAVES' (e.g. '2x4': 4 "
+        "enclaves on each of 2 sockets) or "
+        "'MACHINESxSOCKETSxENCLAVES', optionally followed by "
+        "':ROUTING' ('hash' or 'load-aware'); experiments that pin "
+        "explicit clusters (wl06) are unaffected"
+    ),
+    (
+        "storage", "BUDGET", StorageConfig.parse,
+        "spill working sets beyond BUDGET to sealed untrusted storage "
+        "instead of EDMM-growing/paging the enclave: BUDGET is a size "
+        "('2G', '512M'), optionally followed by ':BLOCK' for the "
+        "sealed block size (default 1MiB); every sealed byte is "
+        "priced through the calibrated seal/unseal/IO constants"
+    ),
+    (
+        "backend", "MODE", require_available,
+        "price serving arms with MODE: 'sim' (the operator-level "
+        "simulator; the default), 'sqlite' or 'duckdb' (a real SQL "
+        "engine's calibrated profile priced through the SGX cost "
+        "envelope; result bags are equivalence-gated against the "
+        "simulator first); 'duckdb' needs the repro[backends] extra"
+    ),
+    (
+        "rewrite", "MODE", validate_rewrite,
+        "rewrite TPC-H serving templates logically with MODE: 'off' "
+        "(the reference plans; the default), 'prove' (generate rewrite "
+        "candidates and run the exact bag-equivalence proofs), 'race' "
+        "(additionally price the proof survivors through the real "
+        "operators), or 'learned' (additionally add each template's "
+        "winning rewrite to the adaptive planner's arm set; needs a "
+        "non-static --planner to be served)"
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,75 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
             "benchmark's cold arm)"
         ),
     )
-    parser.add_argument(
-        "--faults",
-        metavar="PLAN",
-        help=(
-            "inject a named, seeded fault plan into every serving run "
-            "(AEX storms, EDMM denials, enclave crashes, EPC squeezes, "
-            "poisoned jobs); same plan + same seed is bit-reproducible; "
-            "see repro.faults.fault_plans for the catalog"
-        ),
-    )
-    parser.add_argument(
-        "--planner",
-        metavar="MODE",
-        help=(
-            "plan serving queries with MODE: 'static' (the historical "
-            "hardcoded plans; the default), 'cost' (the SGX-aware cost "
-            "model picks each template's plan), or 'adaptive' (seeded "
-            "epsilon-greedy refinement of the cost ranking from observed "
-            "latencies; deterministic for a fixed --seed)"
-        ),
-    )
-    parser.add_argument(
-        "--cluster",
-        metavar="SPEC",
-        help=(
-            "serve every workload over a shard map of enclaves instead of "
-            "one enclave: SPEC is 'SOCKETSxENCLAVES' (e.g. '2x4': 4 "
-            "enclaves on each of 2 sockets) or "
-            "'MACHINESxSOCKETSxENCLAVES', optionally followed by "
-            "':ROUTING' ('hash' or 'load-aware'); experiments that pin "
-            "explicit clusters (wl06) are unaffected"
-        ),
-    )
-    parser.add_argument(
-        "--storage",
-        metavar="BUDGET",
-        help=(
-            "spill working sets beyond BUDGET to sealed untrusted storage "
-            "instead of EDMM-growing/paging the enclave: BUDGET is a size "
-            "('2G', '512M'), optionally followed by ':BLOCK' for the "
-            "sealed block size (default 1MiB); every sealed byte is "
-            "priced through the calibrated seal/unseal/IO constants"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        metavar="MODE",
-        help=(
-            "price serving arms with MODE: 'sim' (the operator-level "
-            "simulator; the default), 'sqlite' or 'duckdb' (a real SQL "
-            "engine's calibrated profile priced through the SGX cost "
-            "envelope; result bags are equivalence-gated against the "
-            "simulator first); 'duckdb' needs the repro[backends] extra"
-        ),
-    )
-    parser.add_argument(
-        "--rewrite",
-        metavar="MODE",
-        help=(
-            "rewrite TPC-H serving templates logically with MODE: 'off' "
-            "(the reference plans; the default), 'prove' (generate rewrite "
-            "candidates and run the exact bag-equivalence proofs), 'race' "
-            "(additionally price the proof survivors through the real "
-            "operators), or 'learned' (additionally add each template's "
-            "winning rewrite to the adaptive planner's arm set; needs a "
-            "non-static --planner to be served)"
-        ),
-    )
+    for name, metavar, _, text in RUN_FLAGS:
+        parser.add_argument(f"--{name}", metavar=metavar, help=text)
     return parser
+
+
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The :class:`RunConfig` the session flags in ``args`` select."""
+    return RunConfig(
+        **{
+            name: parse(getattr(args, name))
+            for name, _, parse, _ in RUN_FLAGS
+            if getattr(args, name) is not None
+        }
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -186,100 +198,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.faults:
-        # Resolve before creating any output dirs/files so an unknown
-        # plan name leaves the filesystem untouched (same contract as
-        # unknown experiment ids below).
-        from repro.errors import ConfigurationError
-        from repro.faults import get_fault_plan
-
-        try:
-            fault_plan = get_fault_plan(args.faults)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.planner is not None:
-        # Same fail-fast contract as --faults: an unknown mode exits
-        # before any output dirs exist.  The oracle selector is not
-        # offered here — it is the experiment-only upper bound.
-        from repro.planner import PLANNER_MODES
-
-        if args.planner not in PLANNER_MODES:
-            print(
-                f"unknown planner mode {args.planner!r}; "
-                f"known: {', '.join(PLANNER_MODES)}",
-                file=sys.stderr,
-            )
-            return 2
-    cluster = None
-    if args.cluster is not None:
-        # Same fail-fast contract: a malformed spec exits before any
-        # output dirs exist.
-        from repro.cluster import ClusterConfig
-        from repro.errors import ConfigurationError
-
-        try:
-            cluster = ClusterConfig.parse(args.cluster)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    storage = None
-    if args.storage is not None:
-        # Same fail-fast contract: a malformed budget exits before any
-        # output dirs exist.
-        from repro.errors import ConfigurationError
-        from repro.storage import StorageConfig
-
-        try:
-            storage = StorageConfig.parse(args.storage)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.backend is not None:
-        # Same fail-fast contract: an unknown or unavailable backend
-        # exits 2 (one line naming the pip extra) before any output dirs
-        # exist — never an ImportError traceback mid-session.
-        from repro.backends import missing_reason, validate_mode
-        from repro.errors import ConfigurationError
-
-        try:
-            validate_mode(args.backend)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        reason = missing_reason(args.backend)
-        if reason is not None:
-            print(reason, file=sys.stderr)
-            return 2
-        if args.backend != "sim" and args.planner not in (None, "static"):
-            print(
-                f"--backend {args.backend} prices templates from calibrated "
-                "engine profiles, which cover only the static plans; it "
-                f"cannot be combined with --planner {args.planner}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.rewrite is not None:
-        # Same fail-fast contract: an unknown rewrite mode exits 2 before
-        # any output dirs exist.
-        from repro.errors import ConfigurationError
-        from repro.rewrite import validate_mode as validate_rewrite_mode
-
-        try:
-            validate_rewrite_mode(args.rewrite)
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if args.rewrite != "off" and args.backend not in (None, "sim"):
-            print(
-                f"--rewrite {args.rewrite} races logical rewrites through "
-                "the operator simulator's costing; it cannot be combined "
-                f"with --backend {args.backend} (engine profiles cover "
-                "only the reference plans)",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        # Before any output dirs/files exist, so bad input leaves the
+        # filesystem untouched (same contract as unknown experiment ids).
+        run = run_config(args)
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.seed is not None:
         from repro.bench import runner
 
@@ -297,14 +222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{experiment_id:8s} {module.TITLE}")
         return 0
     if args.experiments and args.experiments[0] == "explain":
-        return _explain(
-            args.experiments[1:],
-            quick=not args.full,
-            cluster=cluster,
-            storage=storage,
-            backend=args.backend,
-            rewrite=args.rewrite,
-        )
+        return _explain(args.experiments[1:], run)
     requested = args.experiments or ["all"]
     if "all" in requested:
         requested = sorted(EXPERIMENTS)
@@ -347,12 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache=store,
             base_seed=args.seed,
-            faults=fault_plan,
-            planner=args.planner,
-            cluster=cluster,
-            storage=storage,
-            backend=args.backend,
-            rewrite=args.rewrite,
+            run=run,
             memo=not args.no_memo,
         )
         print(f"wrote {path}")
@@ -373,12 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache=store,
         base_seed=args.seed,
         traced=trace_dir is not None,
-        faults=fault_plan,
-        planner=args.planner,
-        cluster=cluster,
-        storage=storage,
-        backend=args.backend,
-        rewrite=args.rewrite,
+        run=run,
         memo=not args.no_memo,
     )
     for run in session.runs:
@@ -407,21 +315,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _explain(
-    names: List[str],
-    *,
-    quick: bool,
-    cluster=None,
-    storage=None,
-    backend: Optional[str] = None,
-    rewrite: Optional[str] = None,
-) -> int:
+def _explain(names: List[str], run: RunConfig) -> int:
     """``sgxv2-bench explain JOB``: the planner's view of one template.
 
     Prints the ranked candidate plans (estimated cycles, EPC working set,
     chosen/rejected status) for each requested serving job template under
     the data-in-enclave setting, against the machine's real EPC budget.
-    The ambient session flags apply: ``--cluster`` explains against one
+    The session flags in ``run`` apply: ``--cluster`` explains against one
     shard's EPC slice, ``--storage`` ranks the spill twins alongside the
     in-EPC arms, and an active ``--rewrite`` appends the ranked-rewrites
     section; ``--backend`` engine modes exit 2 (engine profiles cover
@@ -433,10 +333,10 @@ def _explain(
     from repro.planner import Planner
     from repro.workload.jobs import serving_templates
 
-    if backend not in (None, "sim"):
+    if run.backend != "sim":
         print(
             f"explain ranks candidate plans through the operator "
-            f"simulator; --backend {backend} prices only the reference "
+            f"simulator; --backend {run.backend} prices only the reference "
             "plans and cannot be explained — drop the flag or use "
             "--backend sim",
             file=sys.stderr,
@@ -460,10 +360,10 @@ def _explain(
             file=sys.stderr,
         )
         return 2
-    del quick  # plan estimates price tiny stand-ins either way
     machine = SimMachine()
     budget = float(machine.topology.node(0).epc_bytes)
     budget_note = None
+    cluster = run.cluster
     if cluster is not None:
         # A sharded session plans per enclave: each shard sees its own
         # EPC slice, so explain against the first shard's budget.
@@ -477,7 +377,7 @@ def _explain(
         machine,
         SETTING_SGX_IN,
         epc_budget_bytes=budget,
-        storage=storage,
+        storage=run.storage,
     )
     for index, name in enumerate(names):
         if index:
@@ -485,8 +385,8 @@ def _explain(
         if budget_note is not None:
             print(budget_note)
         print(planner.explain(templates[name]))
-        if rewrite not in (None, "off"):
-            print(_explain_rewrites(templates[name], rewrite, machine))
+        if run.rewrite != "off":
+            print(_explain_rewrites(templates[name], run.rewrite, machine))
     return 0
 
 

@@ -7,8 +7,7 @@ integrity-checked) on the way back in, and every byte is priced through
 the calibrated cycle-accounting path (`hardware/calibration.py`).
 
 * :class:`~repro.storage.config.StorageConfig` — the ``--storage BUDGET``
-  knob and its ambient channel (:func:`use_storage` /
-  :func:`current_storage`), mirroring ``--cluster``/``--faults``.
+  knob, installed per session through :class:`~repro.runconfig.RunConfig`.
 * :class:`~repro.storage.sealed.SealedStore` — per-block seal/unseal/IO
   pricing plus traffic counters.
 * :mod:`~repro.storage.spill` — spill-aware operator variants
@@ -18,9 +17,7 @@ the calibrated cycle-accounting path (`hardware/calibration.py`).
 
 from repro.storage.config import (
     StorageConfig,
-    current_storage,
     parse_size,
-    use_storage,
 )
 from repro.storage.sealed import SealedStore, SpillModel
 from repro.storage.spill import ExternalGroupAggregate, GraceHashJoin
@@ -31,7 +28,5 @@ __all__ = [
     "SpillModel",
     "GraceHashJoin",
     "ExternalGroupAggregate",
-    "current_storage",
     "parse_size",
-    "use_storage",
 ]

@@ -24,13 +24,13 @@ Typical use::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError
 from repro.faults.injector import make_injector
-from repro.faults.plan import FaultPlan, current_fault_plan
+from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.planner import (
     ArmCost,
@@ -39,9 +39,9 @@ from repro.planner import (
     OracleSelector,
     Planner,
     PlanSelector,
-    current_planner_mode,
     validate_mode,
 )
+from repro.runconfig import current_run, use_run
 from repro.workload.generators import ClosedLoopStream, OpenLoopStream
 from repro.workload.jobs import JobCatalog, JobCost, JobTemplate
 from repro.workload.metrics import WorkloadMetrics
@@ -64,12 +64,12 @@ class WorkloadConfig:
     policy: str = "fifo"
     bypass_bytes: Optional[int] = None  # small-query lane threshold
     epc_budget_bytes: Optional[float] = None  # None: socket EPC (or inf, plain)
-    #: None defers to the ambient plan (``use_fault_plan`` / ``--faults``);
+    #: None defers to the session plan (``RunConfig.faults`` / ``--faults``);
     #: an explicit plan — including :data:`~repro.faults.NO_FAULTS` — pins
     #: this config regardless of context (wl04 pins all three of its arms).
     faults: Optional[FaultPlan] = None
     resilience: Optional[ResiliencePolicy] = None
-    #: None defers to the ambient mode (``use_planner_mode`` /
+    #: None defers to the session mode (``RunConfig.planner`` /
     #: ``--planner``); an explicit mode — including ``"static"`` — pins
     #: this config regardless of context (wl05 pins all four of its arms).
     planner: Optional[str] = None
@@ -81,8 +81,8 @@ class WorkloadConfig:
     #: adaptive --seed N`` reproducible across serial/parallel/cached runs.
     plan_seed: Optional[int] = None
     #: Cluster topology: a :class:`~repro.cluster.ClusterConfig`, a spec
-    #: string (``"2x4"``), or ``None`` to defer to the ambient cluster
-    #: (``use_cluster`` / ``--cluster``).  With a cluster in effect the
+    #: string (``"2x4"``), or ``None`` to defer to the session cluster
+    #: (``RunConfig.cluster`` / ``--cluster``).  With a cluster in effect the
     #: engine serves through :class:`~repro.cluster.ClusterScheduler`:
     #: per-shard cores and EPC budgets come from the shard map, not from
     #: ``cores``/``epc_budget_bytes`` (an explicit ``epc_budget_bytes``
@@ -90,14 +90,14 @@ class WorkloadConfig:
     cluster: Optional[object] = None
     #: Sealed-storage budget: a :class:`~repro.storage.StorageConfig`, a
     #: spec string (``"2G"`` or ``"2G:1M"``), or ``None`` to defer to the
-    #: ambient storage config (``use_storage`` / ``--storage``).  With one
+    #: session storage config (``RunConfig.storage`` / ``--storage``).  With one
     #: in effect the serving budget is clamped to the storage budget and
     #: overflow admissions spill their overflowing share to sealed
     #: untrusted storage (priced seal/unseal traffic) instead of paying
     #: the EDMM/paging penalty.
     storage: Optional[object] = None
     #: Logical rewrite mode: ``"off"``/``"prove"``/``"race"``/``"learned"``,
-    #: or ``None`` to defer to the ambient mode (``use_rewrite`` /
+    #: or ``None`` to defer to the session mode (``RunConfig.rewrite`` /
     #: ``--rewrite``).  Active modes prove (and race) rewrite candidates
     #: while the planner builds its arms; ``"learned"`` additionally adds
     #: each TPC-H template's proven-and-priced winner to the bandit's arm
@@ -173,19 +173,16 @@ class ServingEngine:
         return float(machine.topology.node(0).epc_bytes)
 
     def planner_mode(self, config: WorkloadConfig) -> str:
-        """The planner mode this config serves under (explicit or ambient)."""
+        """The planner mode this config serves under (explicit or session)."""
         if config.planner is not None:
             return validate_mode(config.planner)
-        return current_planner_mode()
+        return current_run().planner
 
-    def rewrite_of(self, config: WorkloadConfig) -> Optional[str]:
-        """The effective rewrite mode (explicit, ambient, or ``None``)."""
-        from repro.rewrite.config import current_rewrite
-        from repro.rewrite.config import validate_mode as validate_rewrite
-
+    def rewrite_of(self, config: WorkloadConfig) -> str:
+        """The effective rewrite mode (explicit or session)."""
         if config.rewrite is not None:
-            return validate_rewrite(config.rewrite)
-        return current_rewrite()
+            return config.rewrite
+        return current_run().rewrite
 
     def plan_arms(self, config: WorkloadConfig) -> Dict[str, Tuple[ArmCost, ...]]:
         """Per-template bandit/oracle arms: the top-k candidates, priced.
@@ -204,8 +201,6 @@ class ServingEngine:
         knob hints applied, as one more arm (labelled ``rw:...``, never
         colliding with the physical arms' labels).
         """
-        from repro.storage.config import use_storage
-
         budget = self.epc_budget(config)
         storage = self.storage_of(config)
         rewrite_mode = self.rewrite_of(config)
@@ -218,10 +213,10 @@ class ServingEngine:
             storage=storage,
         )
         arms: Dict[str, Tuple[ArmCost, ...]] = {}
-        # Pricing spill arms goes through the catalog, which resolves the
-        # storage budget ambiently — pin the config's own (possibly
+        # Pricing spill arms goes through the catalog, which reads the
+        # session storage budget — pin the config's own (possibly
         # explicit) storage for the pricing scope.
-        with use_storage(storage):
+        with use_run(replace(current_run(), storage=storage)):
             for name in config.template_names():
                 template = self.templates[name]
                 arm_list = []
@@ -237,7 +232,7 @@ class ServingEngine:
                             working_set_bytes=cost.working_set_bytes,
                         )
                     )
-                if rewrite_mode is not None and rewrite_mode != "off":
+                if rewrite_mode != "off":
                     from repro.rewrite.race import plan_rewrites
 
                     decision = plan_rewrites(
@@ -279,10 +274,10 @@ class ServingEngine:
         return EpsilonGreedySelector(arms, seed=seed)
 
     def cluster_of(self, config: WorkloadConfig):
-        """The effective cluster config (explicit, ambient, or ``None``)."""
-        from repro.cluster.config import ClusterConfig, current_cluster
+        """The effective cluster config (explicit, session, or ``None``)."""
+        from repro.cluster.config import ClusterConfig
 
-        raw = config.cluster if config.cluster is not None else current_cluster()
+        raw = config.cluster if config.cluster is not None else current_run().cluster
         if raw is None:
             return None
         if isinstance(raw, str):
@@ -295,10 +290,10 @@ class ServingEngine:
         return raw
 
     def storage_of(self, config: WorkloadConfig):
-        """The effective storage config (explicit, ambient, or ``None``)."""
-        from repro.storage.config import StorageConfig, current_storage
+        """The effective storage config (explicit, session, or ``None``)."""
+        from repro.storage.config import StorageConfig
 
-        raw = config.storage if config.storage is not None else current_storage()
+        raw = config.storage if config.storage is not None else current_run().storage
         if raw is None:
             return None
         if isinstance(raw, str):
@@ -326,7 +321,7 @@ class ServingEngine:
         if cluster is not None:
             return self.run_cluster(config, cluster).metrics
         policy = make_policy(config.policy, bypass_bytes=config.bypass_bytes)
-        plan = config.faults if config.faults is not None else current_fault_plan()
+        plan = config.faults if config.faults is not None else current_run().faults
         storage = self.storage_of(config)
         budget = self.epc_budget(config)
         if storage is not None:
@@ -371,7 +366,7 @@ class ServingEngine:
         machine = self.catalog.machine_prototype()
         shards = cluster.spec.shards(machine.spec)
         costs = self.costs_for(config)
-        plan = config.faults if config.faults is not None else current_fault_plan()
+        plan = config.faults if config.faults is not None else current_run().faults
         storage = self.storage_of(config)
         spill = self._make_spill(storage)
         schedulers = []

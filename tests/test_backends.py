@@ -15,11 +15,9 @@ from repro.backends import (
     assert_equivalent,
     bag_digest,
     canonical_bag,
-    current_backend_mode,
     make_engine,
     materialize,
     missing_reason,
-    use_backend_mode,
     validate_mode,
 )
 from repro.backends.envelope import (
@@ -34,6 +32,7 @@ from repro.enclave.runtime import ExecutionSetting
 from repro.errors import ConfigurationError, EquivalenceError
 from repro.hardware.platforms import sgxv1_calibration, sgxv1_testbed
 from repro.machine import SimMachine
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.trace import Tracer, backend_breakdown, use_tracer
 from repro.workload.jobs import (
     JobCatalog,
@@ -166,13 +165,23 @@ class TestConfig:
             validate_mode("postgres")
 
     def test_ambient_channel_nests_and_restores(self):
-        assert current_backend_mode() is None
-        with use_backend_mode("sqlite"):
-            assert current_backend_mode() == "sqlite"
-            with use_backend_mode("sim"):
-                assert current_backend_mode() == "sim"
-            assert current_backend_mode() == "sqlite"
-        assert current_backend_mode() is None
+        assert current_run().backend == "sim"
+        with use_run(RunConfig(backend="sqlite")):
+            assert current_run().backend == "sqlite"
+            with use_run(RunConfig(backend="sim")):
+                assert current_run().backend == "sim"
+            assert current_run().backend == "sqlite"
+        assert current_run().backend == "sim"
+
+    def test_run_config_rejects_unknown_backend(self):
+        with pytest.raises(ConfigurationError, match="unknown backend"):
+            RunConfig(backend="postgres")
+
+    @pytest.mark.parametrize("planner", ["cost", "adaptive"])
+    def test_engine_backend_rejects_nonstatic_planner(self, planner):
+        with pytest.raises(ConfigurationError, match="static plans"):
+            RunConfig(backend="sqlite", planner=planner)
+        RunConfig(backend="sim", planner=planner)  # the simulator plans
 
     def test_missing_reason_names_the_extra(self):
         assert missing_reason("sim") is None
@@ -214,7 +223,7 @@ class TestCatalogRegression:
         catalog = JobCatalog()
         template = serving_templates()["scan-small"]
         sim_cost = catalog.cost(template, ExecutionSetting.plain_cpu())
-        with use_backend_mode("sqlite"):
+        with use_run(RunConfig(backend="sqlite")):
             engine_cost = catalog.cost(template, ExecutionSetting.plain_cpu())
         assert engine_cost.service_s != sim_cost.service_s
         # And the sim entry is still intact afterwards.
@@ -257,21 +266,20 @@ class TestServingBridge:
 
 class TestCacheKeys:
     def test_backend_none_and_sim_key_identically(self):
+        # --backend sim builds the default config, so it keys as unflagged.
+        assert RunConfig(backend="sim") == RunConfig()
         base = experiment_key("wl01", quick=True, base_seed=42)
         assert base == experiment_key(
-            "wl01", quick=True, base_seed=42, backend=None
-        )
-        assert base == experiment_key(
-            "wl01", quick=True, base_seed=42, backend="sim"
+            "wl01", quick=True, base_seed=42, run=RunConfig(backend="sim")
         )
 
     def test_engine_backends_never_alias_sim(self):
         base = experiment_key("wl01", quick=True, base_seed=42)
         sqlite = experiment_key(
-            "wl01", quick=True, base_seed=42, backend="sqlite"
+            "wl01", quick=True, base_seed=42, run=RunConfig(backend="sqlite")
         )
         duckdb = experiment_key(
-            "wl01", quick=True, base_seed=42, backend="duckdb"
+            "wl01", quick=True, base_seed=42, run=RunConfig(backend="duckdb")
         )
         assert len({base, sqlite, duckdb}) == 3
 

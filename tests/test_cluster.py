@@ -15,12 +15,11 @@ from repro.cluster import (
     NO_SHARD_FAULTS,
     ShardFaultKind,
     ShardFaultSpec,
-    current_cluster,
     make_router,
-    use_cluster,
 )
 from repro.cluster.scheduler import QUERY_ID_STRIDE
 from repro.errors import ConfigurationError
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.hardware import paper_calibration, paper_testbed
 from repro.workload import (
     JobCost,
@@ -327,15 +326,15 @@ class TestClusterConfig:
             assert token in text
 
     def test_ambient_channel_stacks_and_restores(self):
-        assert current_cluster() is None
+        assert current_run().cluster is None
         outer = ClusterConfig.parse("2x1")
         inner = ClusterConfig.parse("2x4")
-        with use_cluster(outer):
-            assert current_cluster() is outer
-            with use_cluster(inner):
-                assert current_cluster() is inner
-            assert current_cluster() is outer
-        assert current_cluster() is None
+        with use_run(RunConfig(cluster=outer)):
+            assert current_run().cluster is outer
+            with use_run(RunConfig(cluster=inner)):
+                assert current_run().cluster is inner
+            assert current_run().cluster is outer
+        assert current_run().cluster is None
 
 
 class TestClusterServing:

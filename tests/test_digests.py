@@ -17,34 +17,11 @@ import pathlib
 import pytest
 
 from repro.bench.parallel import run_session
+from repro.cli import build_parser, run_config
 
 DIGESTS = json.loads(
     (pathlib.Path(__file__).with_name("digests.json")).read_text()
 )
-
-
-def _session_kwargs(flags):
-    """``run_session`` keywords for one case's CLI flags."""
-    options = dict(zip(flags[::2], flags[1::2]))
-    kwargs = {}
-    if "--seed" in options:
-        kwargs["base_seed"] = int(options["--seed"])
-    if "--faults" in options:
-        from repro.faults import get_fault_plan
-
-        kwargs["faults"] = get_fault_plan(options["--faults"])
-    if "--cluster" in options:
-        from repro.cluster import ClusterConfig
-
-        kwargs["cluster"] = ClusterConfig.parse(options["--cluster"])
-    if "--storage" in options:
-        from repro.storage import StorageConfig
-
-        kwargs["storage"] = StorageConfig.parse(options["--storage"])
-    for flag in ("--planner", "--backend", "--rewrite"):
-        if flag in options:
-            kwargs[flag[2:]] = options[flag]
-    return kwargs
 
 
 def _sha(text: str) -> str:
@@ -53,9 +30,9 @@ def _sha(text: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(DIGESTS), ids=str)
 def test_pinned_digests(case):
-    experiment_id, *flags = case.split()
+    args = build_parser().parse_args(case.split())
     session = run_session(
-        [experiment_id], traced=True, **_session_kwargs(flags)
+        args.experiments, traced=True, base_seed=args.seed, run=run_config(args)
     )
     run = session.runs[0]
     actual = {

@@ -13,12 +13,11 @@ from repro.faults import (
     FaultSpec,
     PlanInjector,
     ResiliencePolicy,
-    current_fault_plan,
     fault_plans,
     get_fault_plan,
     make_injector,
-    use_fault_plan,
 )
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.trace import Tracer, fault_breakdown, use_tracer
 from repro.trace.breakdown import FAILED, RETRY, SHED
 from repro.workload import (
@@ -124,10 +123,10 @@ class TestFaultPlan:
         assert plan.window_edges(2.0) == (1.0,)  # end past the horizon
 
     def test_use_fault_plan_scopes(self):
-        assert current_fault_plan() is None
-        with use_fault_plan(get_fault_plan("chaos")) as plan:
-            assert current_fault_plan() is plan
-        assert current_fault_plan() is None
+        assert current_run().faults is None
+        with use_run(RunConfig(faults=get_fault_plan("chaos"))) as run:
+            assert current_run().faults is run.faults
+        assert current_run().faults is None
 
 
 class TestInjector:
@@ -449,25 +448,24 @@ class TestFaultTracing:
 
 
 class TestFaultCacheKeys:
+    @staticmethod
+    def key(plan=None):
+        return experiment_key(
+            "wl01", quick=True, base_seed=42, run=RunConfig(faults=plan)
+        )
+
     def test_plan_changes_experiment_key(self):
-        base = experiment_key("wl01", quick=True, base_seed=42)
-        chaos = experiment_key("wl01", quick=True, base_seed=42,
-                               faults=get_fault_plan("chaos"))
-        storm = experiment_key("wl01", quick=True, base_seed=42,
-                               faults=get_fault_plan("aex-storm"))
+        base = self.key()
+        chaos = self.key(get_fault_plan("chaos"))
+        storm = self.key(get_fault_plan("aex-storm"))
         assert len({base, chaos, storm}) == 3
 
     def test_same_plan_same_key(self):
-        a = experiment_key("wl01", quick=True, base_seed=42,
-                           faults=get_fault_plan("chaos"))
-        b = experiment_key("wl01", quick=True, base_seed=42,
-                           faults=get_fault_plan("chaos"))
-        assert a == b
+        assert self.key(get_fault_plan("chaos")) == \
+            self.key(get_fault_plan("chaos"))
 
     def test_plan_seed_changes_key(self):
         plan = get_fault_plan("chaos")
         reseeded = FaultPlan(name=plan.name, seed=plan.seed + 1,
                              specs=plan.specs)
-        assert experiment_key("wl01", quick=True, base_seed=42, faults=plan) \
-            != experiment_key("wl01", quick=True, base_seed=42,
-                              faults=reseeded)
+        assert self.key(plan) != self.key(reseeded)

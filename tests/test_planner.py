@@ -22,14 +22,13 @@ from repro.planner import (
     Planner,
     WorkStats,
     build_join,
-    current_planner_mode,
     enumerate_candidates,
     static_candidate,
-    use_planner_mode,
     validate_mode,
 )
 from repro.planner.adaptive import _effective_service
 from repro.planner.choose import overflow_fraction
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.tables import generate_join_relation_pair
 from repro.workload.jobs import JobKind, JobTemplate
 
@@ -413,25 +412,37 @@ class TestModes:
             validate_mode("greedy")
 
     def test_use_planner_mode_scopes_and_restores(self):
-        assert current_planner_mode() == "static"
-        with use_planner_mode("cost"):
-            assert current_planner_mode() == "cost"
-            with use_planner_mode(None):  # no-op nesting
-                assert current_planner_mode() == "cost"
-        assert current_planner_mode() == "static"
+        assert current_run().planner == "static"
+        with use_run(RunConfig(planner="cost")):
+            assert current_run().planner == "cost"
+            with use_run(current_run()):  # re-entering keeps the mode
+                assert current_run().planner == "cost"
+        assert current_run().planner == "static"
+
+    def test_run_config_offers_no_oracle_mode(self):
+        # The oracle is an experiment-only upper bound (wl05 pins it per
+        # workload config); sessions cannot request it.
+        with pytest.raises(ConfigurationError):
+            RunConfig(planner="oracle")
+        with pytest.raises(ConfigurationError, match="greedy"):
+            RunConfig(planner="greedy")
 
 
 class TestCacheKeys:
     BASE = dict(quick=True, base_seed=42)
 
     def test_static_and_none_share_a_key(self):
-        # Pre-planner cache entries stay valid for static sessions.
+        # --planner static builds the default config, so it keys as
+        # an unflagged session.
+        assert RunConfig(planner="static") == RunConfig()
         assert experiment_key("wl01", **self.BASE) == experiment_key(
-            "wl01", planner="static", **self.BASE
+            "wl01", run=RunConfig(planner="static"), **self.BASE
         )
 
     def test_non_static_modes_key_separately(self):
         base = experiment_key("wl01", **self.BASE)
-        cost = experiment_key("wl01", planner="cost", **self.BASE)
-        adaptive = experiment_key("wl01", planner="adaptive", **self.BASE)
+        cost = experiment_key("wl01", run=RunConfig(planner="cost"), **self.BASE)
+        adaptive = experiment_key(
+            "wl01", run=RunConfig(planner="adaptive"), **self.BASE
+        )
         assert len({base, cost, adaptive}) == 3

@@ -20,14 +20,13 @@ from repro.rewrite import (
     REWRITE_KINDS,
     actual_cardinalities,
     base_tables,
-    current_rewrite,
     generate_rewrites,
     plan_rewrites,
     prove_candidate,
     static_physical,
-    use_rewrite,
     validate_mode,
 )
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.trace import Tracer, use_tracer
 from repro.trace.breakdown import rewrite_breakdown
 from repro.workload import (
@@ -82,18 +81,23 @@ class TestConfig:
             validate_mode("aggressive")
 
     def test_ambient_channel_nests_and_restores(self):
-        assert current_rewrite() is None
-        with use_rewrite("learned"):
-            assert current_rewrite() == "learned"
-            with use_rewrite("prove"):
-                assert current_rewrite() == "prove"
-            assert current_rewrite() == "learned"
-        assert current_rewrite() is None
+        assert current_run().rewrite == "off"
+        with use_run(RunConfig(rewrite="learned")):
+            assert current_run().rewrite == "learned"
+            with use_run(RunConfig(rewrite="prove")):
+                assert current_run().rewrite == "prove"
+            assert current_run().rewrite == "learned"
+        assert current_run().rewrite == "off"
 
     def test_ambient_channel_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            with use_rewrite("nope"):
-                pass  # pragma: no cover - never entered
+        with pytest.raises(ConfigurationError, match="unknown rewrite mode"):
+            RunConfig(rewrite="nope")
+
+    @pytest.mark.parametrize("mode", ["prove", "race", "learned"])
+    def test_active_rewrite_rejects_engine_backend(self, mode):
+        with pytest.raises(ConfigurationError, match="--backend sqlite"):
+            RunConfig(rewrite=mode, backend="sqlite")
+        RunConfig(rewrite=mode, backend="sim")  # the simulator races
 
 
 class TestCandidates:
@@ -263,16 +267,18 @@ class TestQErrorBaseline:
 
 class TestCacheKeys:
     def test_off_and_none_key_identically(self):
+        # --rewrite off builds the default config, so it keys as unflagged.
+        assert RunConfig(rewrite="off") == RunConfig()
         base = dict(quick=True, base_seed=17)
         assert experiment_key("fig03", **base) == experiment_key(
-            "fig03", rewrite="off", **base
+            "fig03", run=RunConfig(rewrite="off"), **base
         )
 
     def test_active_modes_key_differently(self):
         base = dict(quick=True, base_seed=17)
         default = experiment_key("fig03", **base)
         keys = {
-            experiment_key("fig03", rewrite=mode, **base)
+            experiment_key("fig03", run=RunConfig(rewrite=mode), **base)
             for mode in ("prove", "race", "learned")
         }
         assert default not in keys
@@ -287,10 +293,10 @@ class TestEngineWiring:
     def test_config_beats_ambient(self):
         engine = ServingEngine(JobCatalog(None, quick=True))
         config = workload(rewrite="prove")
-        with use_rewrite("learned"):
+        with use_run(RunConfig(rewrite="learned")):
             assert engine.rewrite_of(config) == "prove"
-        assert engine.rewrite_of(workload()) is None
-        with use_rewrite("race"):
+        assert engine.rewrite_of(workload()) == "off"
+        with use_run(RunConfig(rewrite="race")):
             assert engine.rewrite_of(workload()) == "race"
 
     def test_learned_adds_rw_arm(self):

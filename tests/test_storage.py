@@ -27,10 +27,9 @@ from repro.storage import (
     SealedStore,
     SpillModel,
     StorageConfig,
-    current_storage,
     parse_size,
-    use_storage,
 )
+from repro.runconfig import RunConfig, current_run, use_run
 from repro.storage.spill import partition_count
 from repro.tables import generate_join_relation_pair
 from repro.trace import Tracer, storage_breakdown, use_tracer
@@ -79,19 +78,20 @@ class TestStorageConfig:
             assert StorageConfig.parse(text).canonical() == text
 
     def test_ambient_channel_nests_and_restores(self):
-        assert current_storage() is None
+        assert current_run().storage is None
         outer = StorageConfig.parse("256m")
         inner = StorageConfig.parse("64m")
-        with use_storage(outer):
-            assert current_storage() is outer
-            with use_storage(inner):
-                assert current_storage() is inner
-            assert current_storage() is outer
-        assert current_storage() is None
+        with use_run(RunConfig(storage=outer)):
+            assert current_run().storage is outer
+            with use_run(RunConfig(storage=inner)):
+                assert current_run().storage is inner
+            assert current_run().storage is outer
+        assert current_run().storage is None
 
     def test_ambient_none_is_a_no_op_scope(self):
-        with use_storage(None):
-            assert current_storage() is None
+        with use_run(RunConfig(storage=None)):
+            assert current_run().storage is None
+        assert RunConfig(storage=None) == RunConfig()
 
 
 @pytest.fixture
@@ -316,7 +316,7 @@ class TestServingSpill:
 
     def test_ambient_storage_config_applies(self):
         engine = self.engine()
-        with use_storage(StorageConfig.parse("64m")):
+        with use_run(RunConfig(storage=StorageConfig.parse("64m"))):
             ambient = engine.run(self.config())
         explicit = engine.run(self.config(storage="64m"))
         assert ambient.counters.storage_dict() == \
@@ -480,13 +480,13 @@ class TestCacheKeysStorage:
             "wl01",
             quick=True,
             base_seed=42,
-            storage=StorageConfig.parse("256m"),
+            run=RunConfig(storage=StorageConfig.parse("256m")),
         )
         other = experiment_key(
             "wl01",
             quick=True,
             base_seed=42,
-            storage=StorageConfig.parse("512m"),
+            run=RunConfig(storage=StorageConfig.parse("512m")),
         )
         assert len({base, stored, other}) == 3
 
