@@ -196,13 +196,15 @@ class GraceHashJoin(JoinAlgorithm):
         # ---- partition-wise build + probe -------------------------------
         # A hash partition never splits a key, so one global match is the
         # partition-wise result.  The priced table is the largest one a
-        # partition with at least one probe row would build.
+        # partition with at least one probe row would build; with no probe
+        # rows no partition builds or probes a table at all.
         build_index, hit_mask = match_first(build, probe)
         matches = int(hit_mask.sum())
         build_sizes = np.bincount(build_parts, minlength=partitions)
         probed = np.bincount(probe_parts, minlength=partitions) > 0
+        any_probed = bool(probed.any())
         logical_table_bytes = 0.0
-        if probed.any():
+        if any_probed:
             largest = int(build_sizes[probed].max())
             logical_table_bytes = float(
                 table_bytes_for(
@@ -220,24 +222,25 @@ class GraceHashJoin(JoinAlgorithm):
                 threads=threads,
                 label="build-unseal",
             )
-        build_profile.add(
-            AccessBatch(
-                kind=PatternKind.RMW_LOOP,
-                count=build_share,
-                element_bytes=JOIN_TUPLE_BYTES,
-                working_set_bytes=float(build.logical_bytes) / partitions,
-                locality=locality,
-                variant=self.variant,
-                parallelism=_BUILD_PARALLELISM,
-                compute_cycles_per_item=_BUILD_COMPUTE,
-                table_bytes=logical_table_bytes,
-                table_locality=locality,
-                table_writes=True,
-                reorder_sensitivity=_BUILD_REORDER_SENSITIVITY,
-                mlp_sensitivity=_BUILD_MLP_SENSITIVITY,
-                label="build-insert",
+        if any_probed:
+            build_profile.add(
+                AccessBatch(
+                    kind=PatternKind.RMW_LOOP,
+                    count=build_share,
+                    element_bytes=JOIN_TUPLE_BYTES,
+                    working_set_bytes=float(build.logical_bytes) / partitions,
+                    locality=locality,
+                    variant=self.variant,
+                    parallelism=_BUILD_PARALLELISM,
+                    compute_cycles_per_item=_BUILD_COMPUTE,
+                    table_bytes=logical_table_bytes,
+                    table_locality=locality,
+                    table_writes=True,
+                    reorder_sensitivity=_BUILD_REORDER_SENSITIVITY,
+                    mlp_sensitivity=_BUILD_MLP_SENSITIVITY,
+                    label="build-insert",
+                )
             )
-        )
         executor.run_uniform_phase("build", build_profile)
 
         probe_share = self.split_rows(probe.logical_rows, threads)
@@ -249,24 +252,25 @@ class GraceHashJoin(JoinAlgorithm):
                 threads=threads,
                 label="probe-unseal",
             )
-        probe_profile.add(
-            AccessBatch(
-                kind=PatternKind.RMW_LOOP,
-                count=probe_share,
-                element_bytes=JOIN_TUPLE_BYTES,
-                working_set_bytes=float(probe.logical_bytes) / partitions,
-                locality=locality,
-                variant=self.variant,
-                parallelism=_PROBE_PARALLELISM,
-                compute_cycles_per_item=_PROBE_COMPUTE,
-                table_bytes=logical_table_bytes,
-                table_locality=locality,
-                table_writes=False,
-                reorder_sensitivity=_PROBE_REORDER_SENSITIVITY,
-                mlp_sensitivity=_PROBE_MLP_SENSITIVITY,
-                label="probe",
+        if any_probed:
+            probe_profile.add(
+                AccessBatch(
+                    kind=PatternKind.RMW_LOOP,
+                    count=probe_share,
+                    element_bytes=JOIN_TUPLE_BYTES,
+                    working_set_bytes=float(probe.logical_bytes) / partitions,
+                    locality=locality,
+                    variant=self.variant,
+                    parallelism=_PROBE_PARALLELISM,
+                    compute_cycles_per_item=_PROBE_COMPUTE,
+                    table_bytes=logical_table_bytes,
+                    table_locality=locality,
+                    table_writes=False,
+                    reorder_sensitivity=_PROBE_REORDER_SENSITIVITY,
+                    mlp_sensitivity=_PROBE_MLP_SENSITIVITY,
+                    label="probe",
+                )
             )
-        )
         output = None
         if materialize:
             output = self.materialize_output(

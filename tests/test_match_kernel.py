@@ -160,8 +160,6 @@ class TestGraceMatch:
         # A large sim_scale makes the logical build side outgrow the budget.
         build = _table("R", inputs[0], sim_scale=50_000.0)
         probe = _table("S", inputs[1], sim_scale=50_000.0)
-        if probe.num_rows == 0:
-            return  # no partition is probed, so Grace prices no table
         machine = SimMachine()
         join = GraceHashJoin(
             CodeVariant.NAIVE, store=SealedStore(machine.params), budget_bytes=budget
@@ -172,6 +170,27 @@ class TestGraceMatch:
         expected = grace_match_oracle(build, probe, partitions)
         assert np.array_equal(result.match_index, expected)
         assert result.matches == int((expected >= 0).sum())
+
+    @pytest.mark.parametrize("budget", [2e6, 10_000e6], ids=["spill", "in-memory"])
+    def test_empty_probe_matches_nothing(self, budget):
+        build, _ = generate_join_relation_pair(
+            100e6, 400e6, seed=3, physical_row_cap=5_000
+        )
+        probe = _table("S", [], sim_scale=1000.0)
+        machine = SimMachine()
+        join = GraceHashJoin(
+            CodeVariant.NAIVE, store=SealedStore(machine.params), budget_bytes=budget
+        )
+        with machine.context(SGX, threads=4) as ctx:
+            result = join.run(ctx, build, probe, materialize=True)
+        with machine.context(SGX, threads=4) as ctx:
+            reference = ParallelHashJoin(CodeVariant.NAIVE).run(ctx, build, probe)
+        assert result.matches == reference.matches == 0
+        assert result.output.num_rows == 0
+        assert np.array_equal(result.match_index, reference.match_index)
+        # Only the spill path partitions; the partition pass stays priced.
+        spills = partition_count(float(build.logical_bytes), budget) > 1
+        assert ("partition" in result.phase_cycles) == spills
 
 
 def _skewed_probe_case():
