@@ -27,7 +27,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 _CACHE_LINE = re.compile(r"^cache: (\d+) hits, (\d+) misses", re.M)
 
@@ -88,16 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.argv[1:] if argv is None else argv
     )
     experiments = options.experiments
-    failures: List[str] = []
-    checks = 0
-
-    def check(ok: bool, what: str) -> None:
-        nonlocal checks
-        checks += 1
-        print(f"  {'ok  ' if ok else 'FAIL'} {what}")
-        if not ok:
-            failures.append(what)
-
+    checks: List[Tuple[bool, str]] = []
     with tempfile.TemporaryDirectory(prefix="determinism-gate-") as scratch:
         out = pathlib.Path(scratch)
         cache = ("--jobs", str(options.jobs), "--cache", str(out / "cache"))
@@ -107,21 +98,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         serial = _artifacts(out / "serial", experiments)
         for label in ("jobs", "warm"):
             other = _artifacts(out / label, experiments)
-            for name in serial:
-                check(serial[name] == other[name], f"{name}: serial == {label}")
+            checks += [
+                (serial[name] == other[name], f"{name}: serial == {label}")
+                for name in serial
+            ]
         hits = _CACHE_LINE.search(warm_stdout)
-        check(
+        checks.append((
             hits is not None and int(hits.group(2)) == 0,
             "warm run replays every experiment from the cache",
-        )
+        ))
         if same_as is not None:
             _run(experiments, same_as, out / "same")
             same = _artifacts(out / "same", experiments)
-            for name in serial:
-                check(
-                    serial[name] == same[name],
-                    f"{name}: {_show(flags)} == {_show(same_as)}",
-                )
+            checks += [
+                (serial[name] == same[name],
+                 f"{name}: {_show(flags)} == {_show(same_as)}")
+                for name in serial
+            ]
         if differs_from is not None:
             _run(experiments, differs_from, out / "differs")
             differs = _artifacts(out / "differs", experiments)
@@ -129,13 +122,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 name for name in serial
                 if name.endswith(".csv") and serial[name] != differs[name]
             ]
-            check(
+            checks.append((
                 bool(changed),
                 f"{_show(flags)} != {_show(differs_from)} "
                 f"(changed: {', '.join(changed) or 'nothing'})",
-            )
-    print(f"{checks - len(failures)}/{checks} checks passed")
-    return 1 if failures else 0
+            ))
+    for ok, what in checks:
+        print(f"  {'ok  ' if ok else 'FAIL'} {what}")
+    failed = sum(not ok for ok, _ in checks)
+    print(f"{len(checks) - failed}/{len(checks)} checks passed")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

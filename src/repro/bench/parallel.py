@@ -78,6 +78,21 @@ class ExperimentRun:
     from_cache: bool = False
     wall_s: float = 0.0
 
+    def write_artifacts(
+        self,
+        csv_dir: Optional[pathlib.Path],
+        trace_dir: Optional[pathlib.Path],
+    ) -> Optional[pathlib.Path]:
+        """Write the CSV and trace files; returns the JSON-lines path."""
+        if csv_dir is not None:
+            (csv_dir / f"{self.experiment_id}.csv").write_text(self.report.to_csv())
+        if trace_dir is None or self.trace_jsonl is None:
+            return None
+        path = trace_dir / f"{self.experiment_id}.trace.jsonl"
+        path.write_text(self.trace_jsonl)
+        (trace_dir / f"{self.experiment_id}.trace.csv").write_text(self.trace_csv)
+        return path
+
 
 @dataclass
 class SessionResult:
@@ -279,7 +294,6 @@ def run_session(
     # Split the job budget: one process per pending experiment first, the
     # remainder as repetition threads inside each worker.
     repetition_jobs = max(1, jobs // len(pending)) if pending else 1
-
     tasks = [
         _Task(
             experiment_id, quick, base_seed, traced, repetition_jobs, run,
@@ -287,65 +301,40 @@ def run_session(
         )
         for experiment_id in pending
     ]
-    if pending:
-        if jobs <= 1 or len(pending) == 1 or machine is not None:
-            for task in tasks:
-                payload = _worker(task, machine)
-                _absorb(
-                    session, results, store, keys, digest, task.experiment_id,
-                    payload,
-                )
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    pool = None
+    if jobs > 1 and len(tasks) > 1 and machine is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            spawn = multiprocessing.get_context("spawn")
-            workers = min(jobs, len(pending))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=spawn
-            ) as pool:
-                futures = [pool.submit(_worker, task) for task in tasks]
-                # Collect in request order: completion order never leaks
-                # into the merged output.
-                for task, future in zip(tasks, futures):
-                    _absorb(
-                        session, results, store, keys, digest,
-                        task.experiment_id, future.result(),
-                    )
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)),
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+    with pool or contextlib.nullcontext():
+        # Both paths yield in request order: completion order never leaks
+        # into the merged output.
+        if pool is None:
+            payloads = (_worker(task, machine) for task in tasks)
+        else:
+            payloads = pool.map(_worker, tasks)
+        for task, payload in zip(tasks, payloads):
+            experiment_id = task.experiment_id
+            computed = _run_from_payload(experiment_id, payload, from_cache=False)
+            results[experiment_id] = computed
+            session.tracer.gauge(
+                f"bench.worker.wall_s.{experiment_id}", computed.wall_s
+            )
+            # Memo traffic belongs to the session trace only (it depends on
+            # what ran before), never to the cached payload the replay
+            # guarantee covers.
+            memo_hits = int(payload.pop("memo_hits"))
+            memo_misses = int(payload.pop("memo_misses"))
+            if memo_hits:
+                session.tracer.count("bench.memo.hits", memo_hits)
+            if memo_misses:
+                session.tracer.count("bench.memo.misses", memo_misses)
+            if store is not None:
+                store.put(keys[experiment_id], {**payload, "calibration": digest})
 
     session.runs = [results[experiment_id] for experiment_id in ids]
     return session
-
-
-def _absorb(
-    session: SessionResult,
-    results: Dict[str, ExperimentRun],
-    store: Optional[MemoStore],
-    keys: Dict[str, str],
-    digest: Optional[str],
-    experiment_id: str,
-    payload: Dict,
-) -> None:
-    """Record one computed result: session telemetry, cache, merge map."""
-    run = _run_from_payload(experiment_id, payload, from_cache=False)
-    results[experiment_id] = run
-    session.tracer.gauge(f"bench.worker.wall_s.{experiment_id}", run.wall_s)
-    # Memo traffic belongs to the session trace only (it depends on what
-    # ran before), never to the cached payload the replay guarantee covers.
-    memo_hits = int(payload.pop("memo_hits", 0))
-    memo_misses = int(payload.pop("memo_misses", 0))
-    if memo_hits:
-        session.tracer.count("bench.memo.hits", memo_hits)
-    if memo_misses:
-        session.tracer.count("bench.memo.misses", memo_misses)
-    if store is not None:
-        store.put(
-            keys[experiment_id],
-            {
-                "report": payload["report"],
-                "trace_jsonl": payload.get("trace_jsonl"),
-                "trace_csv": payload.get("trace_csv"),
-                "wall_s": payload.get("wall_s", 0.0),
-                "calibration": digest,
-            },
-        )

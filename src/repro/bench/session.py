@@ -119,17 +119,9 @@ def build_report(
         run=run,
         memo=memo,
     )
-    for run in session.runs:
-        if csv_dir is not None:
-            (csv_dir / f"{run.experiment_id}.csv").write_text(run.report.to_csv())
-        if trace_dir is not None and run.trace_jsonl is not None:
-            (trace_dir / f"{run.experiment_id}.trace.jsonl").write_text(
-                run.trace_jsonl
-            )
-            (trace_dir / f"{run.experiment_id}.trace.csv").write_text(
-                run.trace_csv
-            )
-        sections.append(_experiment_section(run.report))
+    for outcome in session.runs:
+        outcome.write_artifacts(csv_dir, trace_dir)
+        sections.append(_experiment_section(outcome.report))
     if trace_dir is not None and (cache is not None or jobs > 1):
         # Cache/worker telemetry; wall-clock gauges make it the one trace
         # file outside the byte-determinism guarantee.
@@ -141,31 +133,13 @@ def write_report(
     path: Union[str, pathlib.Path],
     experiment_ids: Optional[Iterable[str]] = None,
     machine: Optional[SimMachine] = None,
-    *,
-    quick: bool = True,
-    csv_dir: Optional[Union[str, pathlib.Path]] = None,
-    trace_dir: Optional[Union[str, pathlib.Path]] = None,
-    jobs: int = 1,
-    cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
-    base_seed: Optional[int] = None,
-    run: Optional[RunConfig] = None,
-    memo: bool = True,
+    **options,
 ) -> pathlib.Path:
-    """Build the report and write it to ``path``; returns the path."""
+    """Build the report and write it to ``path``; returns the path.
+
+    ``options`` are :func:`build_report`'s keyword arguments.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        build_report(
-            experiment_ids,
-            machine,
-            quick=quick,
-            csv_dir=csv_dir,
-            trace_dir=trace_dir,
-            jobs=jobs,
-            cache=cache,
-            base_seed=base_seed,
-            run=run,
-            memo=memo,
-        )
-    )
+    path.write_text(build_report(experiment_ids, machine, **options))
     return path

@@ -289,23 +289,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         run=run,
         memo=not args.no_memo,
     )
-    for run in session.runs:
-        print(run.report.print_table())
+    for outcome in session.runs:
+        print(outcome.report.print_table())
         if args.chart:
             from repro.bench.charts import render
 
             print()
-            print(render(run.report))
+            print(render(outcome.report))
         print()
-        if csv_dir is not None:
-            (csv_dir / f"{run.experiment_id}.csv").write_text(run.report.to_csv())
-        if trace_dir is not None and run.trace_jsonl is not None:
-            trace_path = trace_dir / f"{run.experiment_id}.trace.jsonl"
-            trace_path.write_text(run.trace_jsonl)
-            (trace_dir / f"{run.experiment_id}.trace.csv").write_text(
-                run.trace_csv
-            )
-            records = len(run.trace_jsonl.splitlines())
+        trace_path = outcome.write_artifacts(csv_dir, trace_dir)
+        if trace_path is not None:
+            records = len(outcome.trace_jsonl.splitlines())
             print(f"wrote {trace_path} ({records} records)")
     if trace_dir is not None and (store is not None or args.jobs > 1):
         session_trace = session.write_session_trace(trace_dir)

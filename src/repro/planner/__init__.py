@@ -64,9 +64,6 @@ from repro.planner.stats import WorkStats
 PLANNER_MODES = ("static", "cost", "adaptive")
 ALL_MODES = PLANNER_MODES + ("oracle",)
 
-#: The default mode: preserve today's exact operator choices.
-DEFAULT_MODE = "static"
-
 
 def validate_mode(mode: str, *, allow_oracle: bool = True) -> str:
     """Return ``mode`` if known, raise :class:`ConfigurationError` if not."""
@@ -83,7 +80,6 @@ __all__ = [
     "ArmCost",
     "CandidateEstimate",
     "CostSelector",
-    "DEFAULT_MODE",
     "EpsilonGreedySelector",
     "JOIN_ALGORITHMS",
     "OracleSelector",

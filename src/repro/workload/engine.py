@@ -174,15 +174,11 @@ class ServingEngine:
 
     def planner_mode(self, config: WorkloadConfig) -> str:
         """The planner mode this config serves under (explicit or session)."""
-        if config.planner is not None:
-            return validate_mode(config.planner)
-        return current_run().planner
+        return config.planner or current_run().planner
 
     def rewrite_of(self, config: WorkloadConfig) -> str:
         """The effective rewrite mode (explicit or session)."""
-        if config.rewrite is not None:
-            return config.rewrite
-        return current_run().rewrite
+        return config.rewrite or current_run().rewrite
 
     def plan_arms(self, config: WorkloadConfig) -> Dict[str, Tuple[ArmCost, ...]]:
         """Per-template bandit/oracle arms: the top-k candidates, priced.
@@ -277,33 +273,13 @@ class ServingEngine:
         """The effective cluster config (explicit, session, or ``None``)."""
         from repro.cluster.config import ClusterConfig
 
-        raw = config.cluster if config.cluster is not None else current_run().cluster
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return ClusterConfig.parse(raw)
-        if not isinstance(raw, ClusterConfig):
-            raise ConfigurationError(
-                f"cluster must be a ClusterConfig or a spec string, "
-                f"got {type(raw).__name__}"
-            )
-        return raw
+        return _resolve(config.cluster, current_run().cluster, ClusterConfig)
 
     def storage_of(self, config: WorkloadConfig):
         """The effective storage config (explicit, session, or ``None``)."""
         from repro.storage.config import StorageConfig
 
-        raw = config.storage if config.storage is not None else current_run().storage
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return StorageConfig.parse(raw)
-        if not isinstance(raw, StorageConfig):
-            raise ConfigurationError(
-                f"storage must be a StorageConfig or a spec string, "
-                f"got {type(raw).__name__}"
-            )
-        return raw
+        return _resolve(config.storage, current_run().storage, StorageConfig)
 
     def _make_spill(self, storage):
         """A :class:`~repro.storage.SpillModel` priced for this machine."""
@@ -414,3 +390,15 @@ class ServingEngine:
             closed_streams=config.closed_streams,
             duration_s=config.duration_s,
         )
+
+
+def _resolve(explicit, session, kind):
+    """``explicit`` if set, else ``session``; spec strings parse as ``kind``."""
+    raw = explicit if explicit is not None else session
+    if raw is None or isinstance(raw, kind):
+        return raw
+    if isinstance(raw, str):
+        return kind.parse(raw)
+    raise ConfigurationError(
+        f"expected a {kind.__name__} or a spec string, got {type(raw).__name__}"
+    )

@@ -13,7 +13,6 @@ from repro.planner import (
     ALL_MODES,
     ArmCost,
     CostSelector,
-    DEFAULT_MODE,
     EpsilonGreedySelector,
     OracleSelector,
     PLANNER_MODES,
@@ -399,7 +398,7 @@ class TestSelectors:
 
 class TestModes:
     def test_mode_catalog(self):
-        assert DEFAULT_MODE == "static"
+        assert RunConfig().planner == "static"
         assert PLANNER_MODES == ("static", "cost", "adaptive")
         assert ALL_MODES == ("static", "cost", "adaptive", "oracle")
 
