@@ -2,11 +2,11 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/determinism_gate.py [--jobs N] \\
+    PYTHONPATH=src python scripts/determinism_gate.py \\
         EXPERIMENTS... -- FLAGS... [--same-as FLAGS...] [--differs-from FLAGS...]
 
 Runs ``sgxv2-bench EXPERIMENTS FLAGS`` three times: serially, with
-``--jobs N --cache DIR``, and once more over the now-warm cache.  Every
+``--jobs 2 --cache DIR``, and once more over the now-warm cache.  Every
 experiment's CSV and JSON-lines trace must be byte-identical across the
 three, and the warm run must be served entirely from the cache.  Two or
 more experiments send the ``--jobs`` run through the spawned worker pool.
@@ -21,7 +21,6 @@ naming every failed check.
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import re
 import subprocess
@@ -33,18 +32,14 @@ _CACHE_LINE = re.compile(r"^cache: (\d+) hits, (\d+) misses", re.M)
 
 
 def _split(argv: List[str]):
-    """``(options, flags, same_as, differs_from)`` from the command line."""
-    if "--" not in argv:
+    """``(experiments, flags, same_as, differs_from)`` from the command line."""
+    if "--" not in argv or argv.index("--") == 0:
         raise SystemExit("usage: determinism_gate.py EXPERIMENTS... -- FLAGS...")
     cut = argv.index("--")
-    parser = argparse.ArgumentParser(prog="determinism_gate.py")
-    parser.add_argument("experiments", nargs="+")
-    parser.add_argument("--jobs", type=int, default=2)
-    options = parser.parse_args(argv[:cut])
     sections: Dict[str, Optional[List[str]]] = {
-        "flags": [], "--same-as": None, "--differs-from": None,
+        "--": [], "--same-as": None, "--differs-from": None,
     }
-    current = "flags"
+    current = "--"
     for token in argv[cut + 1:]:
         if token in sections:
             current = token
@@ -52,7 +47,7 @@ def _split(argv: List[str]):
         else:
             sections[current].append(token)
     return (
-        options, sections["flags"], sections["--same-as"],
+        argv[:cut], sections["--"], sections["--same-as"],
         sections["--differs-from"],
     )
 
@@ -84,14 +79,13 @@ def _artifacts(target: pathlib.Path, experiments) -> Dict[str, bytes]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    options, flags, same_as, differs_from = _split(
+    experiments, flags, same_as, differs_from = _split(
         sys.argv[1:] if argv is None else argv
     )
-    experiments = options.experiments
     checks: List[Tuple[bool, str]] = []
     with tempfile.TemporaryDirectory(prefix="determinism-gate-") as scratch:
         out = pathlib.Path(scratch)
-        cache = ("--jobs", str(options.jobs), "--cache", str(out / "cache"))
+        cache = ("--jobs", "2", "--cache", str(out / "cache"))
         _run(experiments, flags, out / "serial")
         _run(experiments, flags, out / "jobs", *cache)
         warm_stdout = _run(experiments, flags, out / "warm", *cache)

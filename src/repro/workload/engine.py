@@ -90,11 +90,11 @@ class WorkloadConfig:
     cluster: Optional[object] = None
     #: Sealed-storage budget: a :class:`~repro.storage.StorageConfig`, a
     #: spec string (``"2G"`` or ``"2G:1M"``), or ``None`` to defer to the
-    #: session storage config (``RunConfig.storage`` / ``--storage``).  With one
-    #: in effect the serving budget is clamped to the storage budget and
-    #: overflow admissions spill their overflowing share to sealed
-    #: untrusted storage (priced seal/unseal traffic) instead of paying
-    #: the EDMM/paging penalty.
+    #: session storage config (``RunConfig.storage`` / ``--storage``).
+    #: With one in effect the serving budget is clamped to the storage
+    #: budget and overflow admissions spill their overflowing share to
+    #: sealed untrusted storage (priced seal/unseal traffic) instead of
+    #: paying the EDMM/paging penalty.
     storage: Optional[object] = None
     #: Logical rewrite mode: ``"off"``/``"prove"``/``"race"``/``"learned"``,
     #: or ``None`` to defer to the session mode (``RunConfig.rewrite`` /
