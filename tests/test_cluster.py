@@ -1,5 +1,7 @@
 """The repro.cluster subsystem: specs, routing, shard faults, serving."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -21,7 +23,10 @@ from repro.cluster.scheduler import QUERY_ID_STRIDE
 from repro.errors import ConfigurationError
 from repro.runconfig import RunConfig, current_run, use_run
 from repro.hardware import paper_calibration, paper_testbed
+from repro.trace import Tracer, to_jsonl, use_tracer
+from repro.trace.breakdown import FAILOVER, ROUTE, SCALE
 from repro.workload import (
+    ClosedLoopStream,
     JobCost,
     OpenLoopStream,
     QueryMix,
@@ -42,13 +47,22 @@ COSTS = {
 MIX = QueryMix.of({"small": 0.8, "big": 0.2})
 
 
-def cluster_run(config, *, qps=400.0, duration_s=2.0, seed=11, streams=None):
+def cluster_run(
+    config,
+    *,
+    qps=400.0,
+    duration_s=2.0,
+    seed=11,
+    streams=None,
+    closed=(),
+    costs=COSTS,
+):
     """One synthetic cluster run; returns its ClusterResult."""
     spec = paper_testbed()
     shards = config.spec.shards(spec)
     schedulers = [
         WorkloadScheduler(
-            COSTS,
+            costs,
             make_policy("fifo"),
             cores=shard.cores,
             epc_budget_bytes=shard.epc_budget_bytes,
@@ -62,7 +76,7 @@ def cluster_run(config, *, qps=400.0, duration_s=2.0, seed=11, streams=None):
         cluster=config,
         shards=shards,
         schedulers=schedulers,
-        costs=COSTS,
+        costs=costs,
         spec=spec,
         params=paper_calibration(),
     )
@@ -71,7 +85,45 @@ def cluster_run(config, *, qps=400.0, duration_s=2.0, seed=11, streams=None):
             OpenLoopStream(f"t{i}", qps=qps / 8, mix=MIX, seed=seed + i)
             for i in range(8)
         )
-    return scheduler.run(open_streams=streams, duration_s=duration_s)
+    return scheduler.run(
+        open_streams=streams, closed_streams=closed, duration_s=duration_s
+    )
+
+
+def traced_cluster_run(config, **kwargs):
+    """``cluster_run`` under a fresh tracer: ``(result, trace records)``."""
+    tracer = Tracer("cluster-test")
+    with use_tracer(tracer):
+        result = cluster_run(config, **kwargs)
+    return result, tracer.snapshot()
+
+
+def cluster_fingerprint(config, **kwargs):
+    """sha256 over every ClusterResult field, per-shard metrics and trace."""
+    result, records = traced_cluster_run(config, **kwargs)
+    parts = [
+        f"{f.name}={getattr(result, f.name)!r}"
+        for f in dataclasses.fields(result)
+        if f.name != "registry"
+    ]
+    parts += [
+        f"{label}={result.registry.shard(label)!r}"
+        for label in result.registry.labels
+    ]
+    blob = "\n".join(parts) + "\n" + to_jsonl(records)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def crash_plan(*windows, shard=0):
+    """A crash plan taking ``shard`` down over each ``(start, end)``."""
+    return ClusterFaultPlan(
+        name="crash",
+        specs=tuple(
+            ShardFaultSpec(ShardFaultKind.SHARD_CRASH, start_s=start,
+                           end_s=end, shard=shard)
+            for start, end in windows
+        ),
+    )
 
 
 class TestClusterSpec:
@@ -474,3 +526,106 @@ class TestClusterServing:
         config = ClusterConfig(spec=ClusterSpec.parse("2x1"), faults=plan)
         with pytest.raises(ConfigurationError):
             cluster_run(config)
+
+
+#: Small cluster configurations whose full output is pinned across builds:
+#: both routers with and without failover under a crash, a rebalance
+#: storm, closed-loop streams pinned to shards, and elastic growth with an
+#: activation delay.  A change to the multiplex loop or the routing state
+#: must reproduce every byte.
+_SPEC = ClusterSpec.parse("2x4")
+_CLOSED = tuple(
+    ClosedLoopStream(f"c{i}", clients=3, think_s=0.02, mix=MIX, seed=40 + i)
+    for i in range(3)
+)
+PIN_CASES = {
+    "hash-failover": (
+        ClusterConfig(spec=_SPEC, faults=crash_plan((0.5, 1.5))), {}
+    ),
+    "hash-no-failover": (
+        ClusterConfig(
+            spec=_SPEC, faults=crash_plan((0.5, 1.5)), failover=False
+        ),
+        {},
+    ),
+    "load-aware-failover": (
+        ClusterConfig(
+            spec=_SPEC, routing="load-aware", faults=crash_plan((0.5, 1.5))
+        ),
+        {},
+    ),
+    "load-aware-no-failover": (
+        ClusterConfig(
+            spec=_SPEC,
+            routing="load-aware",
+            faults=crash_plan((0.5, 1.5)),
+            failover=False,
+        ),
+        {},
+    ),
+    "storm": (
+        ClusterConfig(
+            spec=_SPEC,
+            routing="load-aware",
+            faults=ClusterFaultPlan(
+                name="storm",
+                seed=3,
+                specs=(
+                    ShardFaultSpec(ShardFaultKind.REBALANCE_STORM,
+                                   start_s=0.2, end_s=1.4, probability=0.3),
+                    ShardFaultSpec(ShardFaultKind.SHARD_CRASH,
+                                   start_s=0.6, end_s=1.0, shard=5),
+                ),
+            ),
+        ),
+        {},
+    ),
+    "closed-loop": (
+        ClusterConfig(spec=_SPEC, routing="load-aware"),
+        {"closed": _CLOSED},
+    ),
+    "elastic": (
+        ClusterConfig(
+            spec=_SPEC,
+            routing="load-aware",
+            elastic=ElasticPolicy(
+                min_shards=2, max_shards=5, interval_s=0.05,
+                grow_delay_s=0.12,
+            ),
+        ),
+        {"qps": 2500.0, "duration_s": 1.0, "closed": _CLOSED},
+    ),
+    "elastic-churn": (
+        ClusterConfig(
+            spec=_SPEC,
+            routing="load-aware",
+            faults=crash_plan((0.4, 0.9), shard=1),
+            elastic=ElasticPolicy(
+                min_shards=2, max_shards=5, interval_s=0.05,
+                grow_delay_s=0.12, low_watermark=0.5, high_watermark=0.6,
+            ),
+        ),
+        {"qps": 300.0, "duration_s": 1.5, "closed": _CLOSED[:1]},
+    ),
+}
+
+#: sha256 of :func:`cluster_fingerprint` per case.  A deliberate change
+#: re-blesses these from the digests the test prints on mismatch.
+PINS = {
+    "hash-failover": "32eee83cc51c3441598641c4e35d3647d19ba62a244f7b8fe661211e8780822c",
+    "hash-no-failover": "776607bb6d3f70b8e1bffd3f21b242d21f1d931d8a319924484bea6ececed9ac",
+    "load-aware-failover": "1b65b925c9fbd863b66e73710ae5f5c13fa41f7d393ce351c6e7ef5090861df7",
+    "load-aware-no-failover": "261e183ebbb8eb98a1207a0a46dffdbfeb0878f67200b0e44ddb6da2e8b79d4e",
+    "storm": "399da5c47cadfab5138450c8cf8939b016babb9b42c5bb58d0644c24e363beb8",
+    "closed-loop": "ff80e74a31c18d18adaeaef24549e0e742e0491d3e9fb9fdc3e074d0545d08cb",
+    "elastic": "e2f21057a65da71f5cd527b426c7ff6bbaa295ff3f92301361fa70db70e4a408",
+    "elastic-churn": "c3cc419b5f45c0efbfbf233524f639368d562355a8cc240ea20bc8d61cf6af8b",
+}
+
+
+class TestClusterPins:
+    @pytest.mark.parametrize("case", sorted(PIN_CASES), ids=str)
+    def test_small_configs_are_pinned(self, case):
+        config, kwargs = PIN_CASES[case]
+        actual = cluster_fingerprint(config, **kwargs)
+        assert actual == PINS[case], f"{case!r} moved; actual: {actual}"
