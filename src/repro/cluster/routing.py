@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.spec import ShardSpec
@@ -51,6 +51,7 @@ class HashRouter:
         ring.sort()
         self._points = [point for point, _ in ring]
         self._owners = [owner for _, owner in ring]
+        self._starts: Dict[str, int] = {}  # key -> its ring start index
 
     def route(
         self,
@@ -61,7 +62,11 @@ class HashRouter:
         """The first eligible shard clockwise of ``key``'s ring point."""
         if not eligible:
             raise ConfigurationError("no eligible shard to route to")
-        start = bisect.bisect_right(self._points, _hash64(key))
+        start = self._starts.get(key)
+        if start is None:
+            start = self._starts[key] = bisect.bisect_right(
+                self._points, _hash64(key)
+            )
         n = len(self._owners)
         for offset in range(n):
             owner = self._owners[(start + offset) % n]

@@ -4,7 +4,8 @@
 SchedulerLoop` instances — one per enclave shard — against a single global
 event order.  Each iteration picks the earliest pending event across
 
-* every shard loop's internal heap (finishes, wakes, retries),
+* every shard loop's internal heap (finishes, wakes, retries), through a
+  cluster-level heap holding each shard's head key,
 * the globally sorted open-loop arrival list, and
 * the cluster's own control timeline (shard-crash edges, elastic ticks),
 
@@ -26,16 +27,19 @@ off-home placement is visible in latency, not just in a counter.
 Shard crashes evict the victim's queued + running queries; with failover
 enabled they re-route (keeping their original arrival time, so the lost
 attempt stays in their latency), otherwise they fail terminally and new
-arrivals routed at the dead shard are shed.  The elastic policy grows and
-shrinks the active pool between ``min_shards`` and ``max_shards`` on a
-watermark controller, charging EDMM page-add time before a grown shard
-serves (see :mod:`repro.cluster.elastic`).
+arrivals routed at the dead shard are shed.  Crash windows on one shard
+nest: the shard stays down until the last overlapping window ends.  The
+elastic policy grows and shrinks the active pool between ``min_shards``
+and ``max_shards`` on a watermark controller, charging EDMM page-add time
+before a grown shard serves (see :mod:`repro.cluster.elastic`).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cluster.config import ClusterConfig
@@ -80,8 +84,13 @@ class ShardRuntime:
     loop: SchedulerLoop
     active: bool = True  # in the elastic pool
     activates_at_s: float = 0.0  # EDMM growth completes here
-    down: bool = False  # inside a crash window
+    down_depth: int = 0  # crash windows currently covering the shard
     routed: int = 0  # arrivals placed on this shard
+
+    @property
+    def down(self) -> bool:
+        """Inside at least one crash window."""
+        return self.down_depth > 0
 
     def routable(self, now: float) -> bool:
         return self.active and not self.down and self.activates_at_s <= now
@@ -145,13 +154,29 @@ class ClusterScheduler:
             if isinstance(self._router, HashRouter)
             else HashRouter(shards)
         )
+        self._shuffles: Dict[Tuple[int, int, str], float] = {}
 
     # -- transfer pricing -------------------------------------------------
 
-    def _shuffle_s(
+    def _shuffle_s(self, home_id: int, target_id: int, template: str) -> float:
+        """Seconds to move ``template``'s working set home -> target.
+
+        Memoized per ``(home, target, template)``: the price is a pure
+        function of the two shards' placement and the template's cost.
+        """
+        key = (home_id, target_id, template)
+        shuffle = self._shuffles.get(key)
+        if shuffle is None:
+            shuffle = self._shuffles[key] = self._price_shuffle(
+                self._shards[home_id],
+                self._shards[target_id],
+                self._costs[template],
+            )
+        return shuffle
+
+    def _price_shuffle(
         self, home: ShardSpec, target: ShardSpec, cost: JobCost
     ) -> float:
-        """Seconds to move the query's working set home -> target."""
         if home.shard_id == target.shard_id:
             return 0.0
         if home.machine != target.machine:
@@ -221,6 +246,8 @@ class ClusterScheduler:
         arrivals.sort(key=lambda a: (a.time_s, a.stream))
 
         # The control timeline: crash edges then elastic ticks, ordered.
+        # At one instant "down" precedes "up", so back-to-back windows on
+        # one shard nest (see ``crash``) instead of ending the outage.
         controls: List[Tuple[float, int, str, int]] = []
         for time_s, edge, shard_id in cluster.faults.crash_edges():
             if shard_id >= len(runtimes):
@@ -242,31 +269,46 @@ class ClusterScheduler:
             peak_active=len(initial_pool),
         )
         route_seq = 0
-        arrival_idx = 0
-        control_idx = 0
 
-        def load_of(shard_id: int) -> float:
-            return runtimes[shard_id].loop.load_score
+        # Load scores change only when a shard steps or evicts (``submit``
+        # and ``reject`` leave them alone); both refresh this cache, and
+        # the routers read it.
+        loads = [rt.loop.load_score for rt in runtimes]
+        load_of = loads.__getitem__
 
-        def routable_ids(now: float) -> Set[int]:
-            return {
-                rt.spec.shard_id for rt in runtimes if rt.routable(now)
-            }
+        # The routing pools change only on control edges and when a grown
+        # shard's activation time passes.  ``sets_expire_s`` holds the
+        # earliest pending activation; control edges reset it.
+        nominal: Set[int] = set()  # each key's natural home pool
+        alive: Set[int] = set()  # shards that can serve right now
+        sets_expire_s = -math.inf
 
-        def nominal_ids(now: float) -> Set[int]:
-            """The pool ignoring down-ness: defines each key's natural home."""
-            return {
-                rt.spec.shard_id
-                for rt in runtimes
-                if rt.active and rt.activates_at_s <= now
-            }
-
-        def place(arrival: Arrival, now: float) -> None:
-            nonlocal route_seq
-            nominal = nominal_ids(now)
-            alive = routable_ids(now)
+        def refresh_sets(now: float) -> None:
+            nonlocal nominal, alive, sets_expire_s
+            pool: Set[int] = set()
+            nominal = set()
+            alive = set()
+            sets_expire_s = math.inf
+            for rt in runtimes:
+                if not rt.active:
+                    continue
+                shard_id = rt.spec.shard_id
+                pool.add(shard_id)
+                if rt.activates_at_s > now:
+                    sets_expire_s = min(sets_expire_s, rt.activates_at_s)
+                    continue
+                nominal.add(shard_id)
+                if not rt.down:
+                    alive.add(shard_id)
             if not nominal:
-                nominal = {rt.spec.shard_id for rt in runtimes if rt.active}
+                # Only activating shards: they still define data homes.
+                nominal = pool
+
+        def place(arrival: Arrival, now: float) -> Optional[int]:
+            """Route one arrival; the id of the shard it was submitted to."""
+            nonlocal route_seq
+            if now >= sets_expire_s:
+                refresh_sets(now)
             home_id = self._home_router.route(
                 arrival.stream, nominal, load_of
             )
@@ -277,14 +319,14 @@ class ClusterScheduler:
                 runtimes[home_id].loop.reject(arrival, now)
                 result.rejected += 1
                 route_seq += 1
-                return
+                return None
             home_down = runtimes[home_id].down
             if home_down and not cluster.failover:
                 # The tenant's shard crashed and nothing re-routes for it.
                 runtimes[home_id].loop.reject(arrival, now)
                 result.rejected += 1
                 route_seq += 1
-                return
+                return None
             # Both routers place onto live shards only; the natural home
             # being down makes the placement a failover by definition.
             target_id = self._router.route(arrival.stream, alive, load_of)
@@ -302,11 +344,7 @@ class ClusterScheduler:
                 diverted = True
                 result.diverted += 1
             target = runtimes[target_id]
-            shuffle = self._shuffle_s(
-                self._shards[home_id],
-                target.spec,
-                self._costs[arrival.template],
-            )
+            shuffle = self._shuffle_s(home_id, target_id, arrival.template)
             result.shuffle_s += shuffle
             if tracer.enabled:
                 attrs = dict(
@@ -327,12 +365,15 @@ class ClusterScheduler:
             target.routed += 1
             result.routed += 1
             route_seq += 1
+            return target_id
 
         def crash(shard_id: int, now: float) -> None:
             rt = runtimes[shard_id]
-            rt.down = True
+            rt.down_depth += 1
+            if rt.down_depth > 1:
+                return  # already down: an overlapping window nests
             victims = rt.loop.evict(now)
-            alive = routable_ids(now)
+            refresh_sets(now)
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
@@ -349,7 +390,7 @@ class ClusterScheduler:
                     )
                     target = runtimes[target_id]
                     shuffle = self._shuffle_s(
-                        rt.spec, target.spec, self._costs[pending.template]
+                        shard_id, target_id, pending.template
                     )
                     result.shuffle_s += shuffle
                     target.loop.submit(
@@ -367,7 +408,9 @@ class ClusterScheduler:
 
         def recover(shard_id: int, now: float) -> None:
             rt = runtimes[shard_id]
-            rt.down = False
+            rt.down_depth -= 1
+            if rt.down_depth:
+                return  # another window still covers the shard
             if tracer.enabled:
                 tracer.event(
                     FAILOVER,
@@ -436,49 +479,82 @@ class ClusterScheduler:
                     )
 
         # The multiplex: always advance the globally earliest event.
+        #
+        # Candidates are keyed ``(time_s, kind, shard)``: a shard head
+        # by its loop's ``peek()``, a control edge as ``(t, _CONTROL,
+        # shard)``, the next global arrival as ``(t, _ARRIVAL, _GLOBAL)``.
+        # These keys are a total order (the kind separates controls,
+        # shard ids separate heads, ``_GLOBAL`` is no shard's id), so
+        # taking the minimum of the heap top, the next control and the
+        # next arrival picks exactly what a strict-``<`` scan over every
+        # candidate picks.  ``heads[sid]`` is the one live heap entry of
+        # shard ``sid``; an entry that is not it went stale and is
+        # dropped when it surfaces.
+        heap: List[Tuple[float, int, int]] = []
+        heads: List[Optional[Tuple[float, int, int]]] = [None] * len(runtimes)
+
+        def rekey(shard_id: int) -> None:
+            loop = runtimes[shard_id].loop
+            if not loop.pending:
+                heads[shard_id] = None
+                return
+            time_s, kind = loop.peek()
+            head = heads[shard_id] = (time_s, kind, shard_id)
+            heapq.heappush(heap, head)
+
+        for shard_id in range(len(runtimes)):
+            rekey(shard_id)
+        control_keys = [
+            (time_s, _CONTROL, shard_id) for time_s, _, _, shard_id in controls
+        ]
+        control_idx = 0
+        arrival_idx = 0
         while True:
-            best_key: Optional[Tuple[float, int, int]] = None
-            best_action: Optional[Callable[[], None]] = None
+            while heap and heads[heap[0][2]] is not heap[0]:
+                heapq.heappop(heap)
+            best = heap[0] if heap else None
+            control = arrival = None
             if control_idx < len(controls):
-                time_s, _, edge, shard_id = controls[control_idx]
-                best_key = (time_s, _CONTROL, shard_id)
-
-                def do_control(
-                    edge: str = edge, shard_id: int = shard_id, t: float = time_s
-                ) -> None:
-                    nonlocal control_idx
-                    control_idx += 1
-                    if edge == "down":
-                        crash(shard_id, t)
-                    elif edge == "up":
-                        recover(shard_id, t)
-                    else:
-                        elastic_tick(t)
-
-                best_action = do_control
-            for rt in runtimes:
-                if not rt.loop.pending:
-                    continue
-                time_s, kind = rt.loop.peek()
-                key = (time_s, kind, rt.spec.shard_id)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_action = rt.loop.step
+                key = control_keys[control_idx]
+                if best is None or key < best:
+                    best = key
+                    control = controls[control_idx]
             if arrival_idx < len(arrivals):
-                arrival = arrivals[arrival_idx]
-                key = (arrival.time_s, _ARRIVAL, _GLOBAL)
-                if best_key is None or key < best_key:
-                    best_key = key
-
-                    def do_arrival(a: Arrival = arrival) -> None:
-                        nonlocal arrival_idx
-                        arrival_idx += 1
-                        place(a, a.time_s)
-
-                    best_action = do_arrival
-            if best_action is None:
+                next_arrival = arrivals[arrival_idx]
+                key = (next_arrival.time_s, _ARRIVAL, _GLOBAL)
+                if best is None or key < best:
+                    best = key
+                    control = None
+                    arrival = next_arrival
+            if best is None:
                 break
-            best_action()
+            if arrival is not None:
+                arrival_idx += 1
+                target_id = place(arrival, arrival.time_s)
+                if target_id is not None:
+                    rekey(target_id)
+            elif control is not None:
+                control_idx += 1
+                time_s, _, edge, shard_id = control
+                if edge == "down":
+                    crash(shard_id, time_s)
+                elif edge == "up":
+                    recover(shard_id, time_s)
+                else:
+                    elastic_tick(time_s)
+                # Crashes evict and re-route, ticks flip the pool: every
+                # head, load and routing pool may have moved.
+                sets_expire_s = -math.inf
+                for shard_id, rt in enumerate(runtimes):
+                    loads[shard_id] = rt.loop.load_score
+                    rekey(shard_id)
+            else:
+                shard_id = heapq.heappop(heap)[2]
+                heads[shard_id] = None
+                loop = runtimes[shard_id].loop
+                loop.step()
+                loads[shard_id] = loop.load_score
+                rekey(shard_id)
 
         for rt in runtimes:
             result.registry.register(rt.spec.label, rt.loop.result())

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import types
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.cluster import (
     ShardFaultSpec,
     make_router,
 )
+from repro.cluster import scheduler as cluster_scheduler
 from repro.cluster.scheduler import QUERY_ID_STRIDE
 from repro.errors import ConfigurationError
 from repro.runconfig import RunConfig, current_run, use_run
@@ -45,6 +47,7 @@ COSTS = {
 }
 
 MIX = QueryMix.of({"small": 0.8, "big": 0.2})
+_SPEC = ClusterSpec.parse("2x4")
 
 
 def cluster_run(
@@ -528,12 +531,126 @@ class TestClusterServing:
             cluster_run(config)
 
 
+class TestRoutingState:
+    """The cached routing pools and load scores track the live state."""
+
+    @pytest.mark.parametrize("failover", [True, False])
+    @pytest.mark.parametrize(
+        "windows",
+        [((0.5, 1.0), (1.0, 1.5)), ((0.5, 1.5), (0.7, 0.8))],
+        ids=["back-to-back", "nested"],
+    )
+    def test_split_crash_windows_match_their_union(self, windows, failover):
+        # Regression: "down" sorts before "up" at one instant and recover
+        # cleared the flag outright, so a second window ended the outage
+        # at the first window's end (70 rejections became 39 or 20).
+        union = ClusterConfig(
+            spec=_SPEC, faults=crash_plan((0.5, 1.5)), failover=failover
+        )
+        split = ClusterConfig(
+            spec=_SPEC, faults=crash_plan(*windows), failover=failover
+        )
+        assert cluster_fingerprint(split) == cluster_fingerprint(union)
+
+    def test_nested_crash_emits_one_down_and_one_up(self):
+        config = ClusterConfig(
+            spec=_SPEC,
+            faults=crash_plan((0.5, 1.5), (0.7, 0.8)),
+            failover=False,
+        )
+        result, records = traced_cluster_run(config)
+        phases = [
+            (r.time_s, r.attrs["phase"])
+            for r in records
+            if r.name == FAILOVER
+        ]
+        assert phases == [(0.5, "down"), (1.5, "up")]
+        assert result.rejected == 70
+
+    def test_grown_shard_serves_only_after_its_activation(self):
+        delay, interval = 0.03, 0.1
+        config = ClusterConfig(
+            spec=_SPEC,
+            routing="load-aware",
+            elastic=ElasticPolicy(
+                min_shards=2, max_shards=4, interval_s=interval,
+                grow_delay_s=delay,
+            ),
+        )
+        _, records = traced_cluster_run(config, qps=2500.0, duration_s=1.0)
+        ups = [
+            r for r in records
+            if r.name == SCALE and r.attrs["direction"] == "up"
+        ]
+        assert ups
+        routes = [r for r in records if r.name == ROUTE]
+        for up in ups:
+            start = up.time_s
+            ready = start + up.attrs["activation_delay_s"]
+            landed = [
+                route.time_s for route in routes
+                if route.attrs["shard"] == up.attrs["shard"]
+            ]
+            assert not [t for t in landed if start <= t < ready]
+            # Before the next control tick: the grown shard becomes
+            # routable at its activation time, with no control edge.
+            assert [t for t in landed if ready <= t < start + interval]
+
+    def test_load_aware_sees_the_evicted_load_after_recovery(
+        self, monkeypatch
+    ):
+        # Long queries keep every shard busy, and the crashed shard's
+        # cancelled finishes stay queued past its recovery, so only the
+        # eviction itself can have emptied its load score.
+        seen = []
+
+        def spying_router(name, shards):
+            router = make_router(name, shards)
+
+            def route(key, eligible, load):
+                seen.append({sid: load(sid) for sid in eligible})
+                return router.route(key, eligible, load)
+
+            return types.SimpleNamespace(route=route)
+
+        monkeypatch.setattr(cluster_scheduler, "make_router", spying_router)
+        costs = {
+            "long": JobCost("long", threads=2, service_s=1.0,
+                            working_set_bytes=10 * MB),
+        }
+        mix = QueryMix.of({"long": 1.0})
+        streams = tuple(
+            OpenLoopStream(f"t{i}", qps=25.0, mix=mix, seed=60 + i)
+            for i in range(8)
+        )
+        config = ClusterConfig(
+            spec=_SPEC, routing="load-aware",
+            faults=crash_plan((0.5, 0.6), shard=7),
+        )
+        _, records = traced_cluster_run(
+            config, streams=streams, costs=costs, duration_s=1.0
+        )
+        down = next(
+            r.attrs for r in records
+            if r.name == FAILOVER and r.attrs["phase"] == "down"
+        )
+        assert down["queries"] > 0  # it was busy when it crashed
+        outage = [i for i, loads in enumerate(seen) if 7 not in loads]
+        back = seen[outage[-1] + 1]
+        assert back[7] == 0.0
+        assert min(load for sid, load in back.items() if sid != 7) > 0.0
+        after = next(
+            r.attrs for r in records
+            if r.name == ROUTE and r.time_s >= 0.6
+        )
+        assert after["shard"] == down["shard"]
+
+
 #: Small cluster configurations whose full output is pinned across builds:
 #: both routers with and without failover under a crash, a rebalance
 #: storm, closed-loop streams pinned to shards, and elastic growth with an
 #: activation delay.  A change to the multiplex loop or the routing state
 #: must reproduce every byte.
-_SPEC = ClusterSpec.parse("2x4")
 _CLOSED = tuple(
     ClosedLoopStream(f"c{i}", clients=3, think_s=0.02, mix=MIX, seed=40 + i)
     for i in range(3)
@@ -612,14 +729,22 @@ PIN_CASES = {
 #: sha256 of :func:`cluster_fingerprint` per case.  A deliberate change
 #: re-blesses these from the digests the test prints on mismatch.
 PINS = {
-    "hash-failover": "32eee83cc51c3441598641c4e35d3647d19ba62a244f7b8fe661211e8780822c",
-    "hash-no-failover": "776607bb6d3f70b8e1bffd3f21b242d21f1d931d8a319924484bea6ececed9ac",
-    "load-aware-failover": "1b65b925c9fbd863b66e73710ae5f5c13fa41f7d393ce351c6e7ef5090861df7",
-    "load-aware-no-failover": "261e183ebbb8eb98a1207a0a46dffdbfeb0878f67200b0e44ddb6da2e8b79d4e",
-    "storm": "399da5c47cadfab5138450c8cf8939b016babb9b42c5bb58d0644c24e363beb8",
-    "closed-loop": "ff80e74a31c18d18adaeaef24549e0e742e0491d3e9fb9fdc3e074d0545d08cb",
-    "elastic": "e2f21057a65da71f5cd527b426c7ff6bbaa295ff3f92301361fa70db70e4a408",
-    "elastic-churn": "c3cc419b5f45c0efbfbf233524f639368d562355a8cc240ea20bc8d61cf6af8b",
+    "hash-failover":
+        "32eee83cc51c3441598641c4e35d3647d19ba62a244f7b8fe661211e8780822c",
+    "hash-no-failover":
+        "776607bb6d3f70b8e1bffd3f21b242d21f1d931d8a319924484bea6ececed9ac",
+    "load-aware-failover":
+        "1b65b925c9fbd863b66e73710ae5f5c13fa41f7d393ce351c6e7ef5090861df7",
+    "load-aware-no-failover":
+        "261e183ebbb8eb98a1207a0a46dffdbfeb0878f67200b0e44ddb6da2e8b79d4e",
+    "storm":
+        "399da5c47cadfab5138450c8cf8939b016babb9b42c5bb58d0644c24e363beb8",
+    "closed-loop":
+        "ff80e74a31c18d18adaeaef24549e0e742e0491d3e9fb9fdc3e074d0545d08cb",
+    "elastic":
+        "e2f21057a65da71f5cd527b426c7ff6bbaa295ff3f92301361fa70db70e4a408",
+    "elastic-churn":
+        "c3cc419b5f45c0efbfbf233524f639368d562355a8cc240ea20bc8d61cf6af8b",
 }
 
 
