@@ -1172,11 +1172,11 @@ class SchedulerLoop:
                 completed=counters.completed,
                 epc_high_water_bytes=int(self._epc_high_water),
             )
-            if self._faulting:
-                for name, value in counters.fault_dict().items():
-                    self._tracer.count(f"scheduler.{name}", value)
             if self._spill is not None:
                 for name, value in counters.storage_dict().items():
+                    self._tracer.count(f"scheduler.{name}", value)
+            if self._faulting:
+                for name, value in counters.fault_dict().items():
                     self._tracer.count(f"scheduler.{name}", value)
                 end_attrs.update(
                     failed=counters.failed,

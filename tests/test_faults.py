@@ -17,9 +17,11 @@ from repro.faults import (
     get_fault_plan,
     make_injector,
 )
+from repro.hardware import paper_calibration
 from repro.runconfig import RunConfig, current_run, use_run
+from repro.storage import SealedStore, SpillModel
 from repro.trace import Tracer, fault_breakdown, use_tracer
-from repro.trace.breakdown import FAILED, RETRY, SHED
+from repro.trace.breakdown import FAILED, RETRY, RUN_END, SHED
 from repro.workload import (
     ClosedLoopStream,
     JobCost,
@@ -40,7 +42,7 @@ COSTS = {
 
 
 def scheduler(policy="fifo", *, cores=8, epc=1_000 * MB, injector=None,
-              resilience=None):
+              resilience=None, selector=None, storage=None):
     return WorkloadScheduler(
         COSTS,
         make_policy(policy),
@@ -49,7 +51,14 @@ def scheduler(policy="fifo", *, cores=8, epc=1_000 * MB, injector=None,
         setting_label="test",
         injector=injector,
         resilience=resilience,
+        selector=selector,
+        storage=storage,
     )
+
+
+def spill_model():
+    """A sealed-spill pricer at a fixed 2 GHz (no machine needed)."""
+    return SpillModel(SealedStore(paper_calibration()), 2.0e9)
 
 
 def stream(qps=50.0, mix=None, seed=7, name="s"):
@@ -445,6 +454,27 @@ class TestFaultTracing:
             ))
         names = [e.name for e in tracer.records]
         assert SHED in names
+
+    def test_run_end_fault_attrs_follow_faulting_not_storage(self):
+        # Un-faulted runs emit no fault attributes, with or without a
+        # spill model: availability and friends ride on run_end only
+        # when fault machinery is live.
+        def run_end_attrs(**kwargs):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                metrics = run(scheduler(epc=300 * MB, **kwargs),
+                              streams=(stream(mix={"big": 1.0}, qps=30.0),))
+            (end,) = [e for e in tracer.records if e.name == RUN_END]
+            return metrics, end.attrs
+
+        _, faulted = run_end_attrs(injector=make_injector(plan_of(
+            FaultSpec(FaultKind.AEX_STORM, magnitude=2.0)
+        )))
+        assert {"availability", "failed", "shed", "retries",
+                "downtime_s"} <= set(faulted)
+        metrics, spilled = run_end_attrs(storage=spill_model())
+        assert metrics.counters.spills > 0
+        assert "availability" not in spilled
 
 
 class TestFaultCacheKeys:
