@@ -1,5 +1,8 @@
 """The fault-injection + resilience subsystem: plans, injector, scheduler."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.cache import experiment_key
@@ -18,9 +21,10 @@ from repro.faults import (
     make_injector,
 )
 from repro.hardware import paper_calibration
+from repro.planner import ArmCost, EpsilonGreedySelector, PlanCandidate
 from repro.runconfig import RunConfig, current_run, use_run
 from repro.storage import SealedStore, SpillModel
-from repro.trace import Tracer, fault_breakdown, use_tracer
+from repro.trace import Tracer, fault_breakdown, to_jsonl, use_tracer
 from repro.trace.breakdown import FAILED, RETRY, RUN_END, SHED
 from repro.workload import (
     ClosedLoopStream,
@@ -499,3 +503,159 @@ class TestFaultCacheKeys:
         reseeded = FaultPlan(name=plan.name, seed=plan.seed + 1,
                              specs=plan.specs)
         assert self.key(plan) != self.key(reseeded)
+
+
+def scheduler_fingerprint(sched, **run_kwargs):
+    """sha256 over every WorkloadMetrics field and the traced run."""
+    tracer = Tracer("scheduler-test")
+    with use_tracer(tracer):
+        metrics = run(sched, **run_kwargs)
+    parts = [
+        f"{f.name}={getattr(metrics, f.name)!r}"
+        for f in dataclasses.fields(metrics)
+    ]
+    blob = "\n".join(parts) + "\n" + to_jsonl(tracer.snapshot())
+    names = {r.name for r in tracer.records}
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest(), names
+
+
+def _arms(*specs):
+    return tuple(
+        ArmCost(
+            candidate=PlanCandidate(alg, threads=threads),
+            label=label,
+            service_s=service,
+            working_set_bytes=ws,
+        )
+        for alg, label, threads, service, ws in specs
+    )
+
+
+_SQUEEZE = FaultSpec(FaultKind.EPC_SQUEEZE, end_s=1.0, magnitude=0.3)
+_BIG = (stream(mix={"big": 1.0}, qps=30.0),)
+_MIXED = (stream(mix={"small": 0.7, "big": 0.3}, qps=60.0),)
+_CLOSED = (
+    ClosedLoopStream("loop", clients=2, think_s=0.02,
+                     mix=QueryMix.of({"small": 1.0}), seed=5),
+)
+
+#: Small WorkloadScheduler runs reaching dispatch branches no pinned CLI
+#: case reaches, each with the trace events that prove it got there.  A
+#: change to the dispatch path must reproduce every byte.
+SCHEDULER_PIN_CASES = {
+    "edmm-denied-squeeze": (
+        lambda: scheduler(
+            injector=make_injector(plan_of(
+                FaultSpec(FaultKind.EDMM_DENIED, probability=0.5), _SQUEEZE
+            )),
+            resilience=ResiliencePolicy(
+                max_retries=2, breaker_threshold=1000,
+                degrade_on_squeeze=False,
+            ),
+        ),
+        {"streams": _BIG},
+        {"fault.edmm_denied", "query.edmm_overflow", "resilience.retry"},
+    ),
+    "degrade-squeeze": (
+        lambda: scheduler(
+            injector=make_injector(plan_of(_SQUEEZE)),
+            resilience=ResiliencePolicy(degrade_on_squeeze=True),
+        ),
+        {"streams": _BIG},
+        {"resilience.degraded"},
+    ),
+    "poison-breaker": (
+        lambda: scheduler(
+            injector=make_injector(plan_of(
+                FaultSpec(FaultKind.POISON_JOB, template="small",
+                          end_s=1.2)
+            )),
+            resilience=ResiliencePolicy(
+                max_retries=2, breaker_threshold=3, breaker_cooldown_s=0.3
+            ),
+        ),
+        {"streams": _MIXED, "closed": _CLOSED},
+        {"resilience.breaker_open", "resilience.shed", "query.failed"},
+    ),
+    "crash-timeout": (
+        lambda: scheduler(
+            injector=make_injector(plan_of(
+                FaultSpec(FaultKind.AEX_STORM, start_s=0.5, end_s=1.0,
+                          magnitude=20.0),
+                FaultSpec(FaultKind.ENCLAVE_CRASH, probability=0.2,
+                          reinit_s=0.05),
+            )),
+            resilience=ResiliencePolicy(
+                max_retries=1, timeout_s=0.08, breaker_threshold=1000
+            ),
+        ),
+        {"streams": _MIXED},
+        {"fault.aex_storm", "fault.enclave_crash", "query.attempt_failed"},
+    ),
+    "spill-torn-stall": (
+        lambda: scheduler(
+            epc=300 * MB,
+            injector=make_injector(plan_of(
+                FaultSpec(FaultKind.TORN_BLOCK, probability=0.2),
+                FaultSpec(FaultKind.STORAGE_STALL, start_s=1.0, end_s=8.0,
+                          magnitude=3.0),
+            )),
+            resilience=ResiliencePolicy(max_retries=1,
+                                        breaker_threshold=1000),
+            storage=spill_model(),
+        ),
+        {"streams": _BIG},
+        {"fault.torn_block", "fault.storage_stall", "storage.spill"},
+    ),
+    "adaptive-retries": (
+        lambda: scheduler(
+            injector=make_injector(plan_of(
+                FaultSpec(FaultKind.ENCLAVE_CRASH, probability=0.2,
+                          reinit_s=0.02),
+                _SQUEEZE,
+            )),
+            resilience=ResiliencePolicy(max_retries=2,
+                                        breaker_threshold=1000),
+            selector=EpsilonGreedySelector(
+                {
+                    "small": _arms(("PHT", "PHT", 1, 0.01, 10 * MB),
+                                   ("RHO", "RHO", 2, 0.008, 40 * MB)),
+                    "big": _arms(("RHO", "RHO", 4, 0.10, 400 * MB),
+                                 ("PHT", "PHT", 2, 0.14, 250 * MB)),
+                },
+                seed=7,
+                epsilon=0.3,
+            ),
+        ),
+        {"streams": _MIXED, "closed": _CLOSED},
+        {"planner.choice", "planner.observe", "resilience.retry"},
+    ),
+}
+
+#: sha256 of :func:`scheduler_fingerprint` per case.  A deliberate change
+#: re-blesses these from the digests the test prints on mismatch.
+SCHEDULER_PINS = {
+    "adaptive-retries":
+        "4fbb055335652e370157679beb1e2244c49a69c47ae5e80e9897c2730b94ede2",
+    "crash-timeout":
+        "c1a1ad778fd0eea8d483df31ded25e927bf230dd3d3807fa105c3d25e40b4b92",
+    "degrade-squeeze":
+        "c97548ba5d01b5c6553a13429f25013b3637a522ee485867b6442f85d02a4fb0",
+    "edmm-denied-squeeze":
+        "b0b35d83cb9e50f2ae8b30557334cbead066bdf39f0af0c726cf8ddeb05dc4ab",
+    "poison-breaker":
+        "b75c1a55d6c29eb5365d61181fe2a7298e8149277c4994c1bc08981fe20ad421",
+    "spill-torn-stall":
+        "9534c8f07e118aac3c8259194184c3edb1d8712736f292fc9547328d61e269ee",
+}
+
+
+class TestSchedulerPins:
+    @pytest.mark.parametrize("case", sorted(SCHEDULER_PIN_CASES), ids=str)
+    def test_small_runs_are_pinned(self, case):
+        make, kwargs, expected_events = SCHEDULER_PIN_CASES[case]
+        actual, names = scheduler_fingerprint(make(), **kwargs)
+        assert expected_events <= names, f"{case!r} missed its branch"
+        assert actual == SCHEDULER_PINS[case], (
+            f"{case!r} moved; actual: {actual}"
+        )
