@@ -27,8 +27,8 @@ by an EPC squeeze; with a :class:`~repro.faults.ResiliencePolicy` the
 scheduler retries failed attempts with jittered backoff, sheds load
 through a per-tenant circuit breaker, bounds attempts with a timeout, and
 degrades gracefully under squeeze.  All fault paths stay cold under the
-default :data:`~repro.faults.NULL_INJECTOR`, so an un-faulted run is
-byte-identical to a pre-fault build.
+default :data:`~repro.faults.NULL_INJECTOR`: an un-faulted run makes no
+fault draw and emits no fault event or attribute.
 
 **Multiplexing** (:mod:`repro.cluster`): the event loop lives in
 :class:`SchedulerLoop`, a steppable object exposing ``peek``/``step`` so a
@@ -36,9 +36,9 @@ cluster scheduler can interleave many shards' loops on one simulated
 clock, plus ``submit``/``evict``/``reject`` so routed arrivals, shard
 crashes, and dead-shard rejections cross shard boundaries.  A shard label
 threads into every trace event's attrs (``shard=...``) so tee'd shards
-stay distinguishable; un-sharded runs omit the attr and stay
-byte-identical to the pre-cluster build.  :meth:`WorkloadScheduler.run`
-is now a thin drain of one loop — same events, same order, same bytes.
+stay distinguishable; un-sharded runs carry no shard attr.
+:meth:`WorkloadScheduler.run` drains one loop, so a solo run and a
+stepped loop emit the same events in the same order.
 
 Everything — arrivals, mixes, dispatch order, tie-breaking, fault draws,
 retry jitter — is a pure function of the workload configuration and its
@@ -164,23 +164,21 @@ class WorkloadScheduler:
         self._setting_label = setting_label
         self._injector = injector if injector is not None else NULL_INJECTOR
         self._resilience = resilience
-        #: Whether any fault machinery is live this run; every fault branch
-        #: hides behind this flag so an un-faulted run takes the exact
-        #: pre-fault code path (and emits the exact pre-fault trace).
+        #: Whether any fault machinery is live this run.  Every fault
+        #: branch hides behind this flag: an un-faulted run makes no fault
+        #: draw and emits no fault event or attribute.
         self._faulting = self._injector.active or resilience is not None
         #: Plan selector (planner modes beyond ``static``).  Every planner
-        #: branch hides behind ``selector is not None`` for the same
-        #: byte-identity reason the fault branches hide behind _faulting.
+        #: branch hides behind ``selector is not None``: a static run
+        #: emits no planner event.
         self._selector = selector
         #: Sealed-storage spill model (``--storage BUDGET``).  With one
         #: installed, overflow admissions spill their overflowing share to
         #: sealed untrusted storage instead of paying the EDMM/paging
-        #: penalty; without one, every spill branch stays cold and runs
-        #: are byte-identical to the pre-storage build.
+        #: penalty; without one, no spill event or attribute is emitted.
         self._storage = storage
         #: Shard identity when multiplexed by a cluster scheduler; ""
-        #: (un-sharded) suppresses every shard-related trace attr so solo
-        #: runs stay byte-identical to the pre-cluster build.
+        #: (un-sharded) suppresses every shard-related trace attr.
         self._shard = shard
         #: First query id this scheduler assigns.  Shards take disjoint
         #: id ranges so cluster-wide merged records never collide.
@@ -196,12 +194,9 @@ class WorkloadScheduler:
         duration_s: float,
     ) -> WorkloadMetrics:
         """Simulate until every submitted query completes or fails."""
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
         if not open_streams and not closed_streams:
             raise ConfigurationError("the workload needs at least one stream")
-        loop = SchedulerLoop(
-            self,
+        loop = self.loop(
             open_streams=open_streams,
             closed_streams=closed_streams,
             duration_s=duration_s,
@@ -242,18 +237,16 @@ class WorkloadScheduler:
 class SchedulerLoop:
     """One scheduler's event loop, steppable from outside.
 
-    Extracted from the old monolithic ``run`` body so a cluster scheduler
-    can multiplex many loops on one simulated clock: ``peek`` exposes the
-    next event's ``(time, kind)``, ``step`` processes exactly one event,
-    and ``result`` finalises metrics once ``pending`` is False.  Routed
-    work crosses shard boundaries through ``submit`` (deliver an arrival,
-    optionally priced with a cross-socket shuffle), ``evict`` (a crashing
-    shard hands back its queued + running queries), and ``reject`` (a
-    dead shard sheds an arrival terminally).
+    A cluster scheduler multiplexes many loops on one simulated clock:
+    ``peek`` exposes the next event's ``(time, kind)``, ``step`` processes
+    exactly one event, and ``result`` finalises metrics once ``pending``
+    is False.  Routed work crosses shard boundaries through ``submit``
+    (deliver an arrival, optionally priced with a cross-socket shuffle),
+    ``evict`` (a crashing shard hands back its queued + running queries),
+    and ``reject`` (a dead shard sheds an arrival terminally).
 
-    Event processing is verbatim the old loop body — driving a loop to
-    exhaustion yields the same metrics and the same trace bytes as the
-    pre-refactor ``run``.
+    Driving a loop to exhaustion is exactly :meth:`WorkloadScheduler.run`:
+    the same metrics and the same trace bytes.
     """
 
     def __init__(
@@ -275,10 +268,18 @@ class SchedulerLoop:
         self._selector = scheduler._selector
         self._spill = scheduler._storage
         self._shard = scheduler._shard
+        #: Prices an admission past the EPC budget: sealed spill with
+        #: storage installed, else EDMM growth.  Unbound, since a bound
+        #: method here would make each loop a reference cycle.
+        self._overflow = (
+            SchedulerLoop._spill_overflow if self._spill is not None
+            else SchedulerLoop._edmm_overflow
+        )
         if self._tracer.enabled:
             self._emit(
                 RUN_START,
-                time_s=0.0,
+                None,
+                0.0,
                 setting=scheduler._setting_label,
                 policy=scheduler._policy.label,
                 cores=scheduler._cores,
@@ -428,6 +429,57 @@ class SchedulerLoop:
 
     def reject(self, arrival: Arrival, now: float, outcome: str = "shard_down") -> None:
         """Terminally shed an arrival routed at a dead shard."""
+        pending = self._arrive(arrival, now)
+        self._shed(pending, now, retry=False)
+        # Counted as shed, as it never reached a live queue.
+        self._fail_terminal(pending, now, outcome, "shed")
+
+    def fail_evicted(
+        self, pending: PendingQuery, now: float, outcome: str = "shard_down"
+    ) -> None:
+        """Terminally fail a query evicted by a shard crash (no failover).
+
+        The query already holds this shard's counters (its arrival was
+        counted here), so the terminal failure must land here too —
+        otherwise availability would silently ignore the lost work.
+        """
+        self._fail_terminal(pending, now, outcome, "failed")
+
+    # -- internals ---------------------------------------------------------
+
+    def _emit(
+        self,
+        name: str,
+        pending: Optional[PendingQuery],
+        time_s: float,
+        **attrs: object,
+    ) -> None:
+        """One trace event; a per-query event leads with the query's
+        identity, and a shard's events end with its label."""
+        if self._shard:
+            attrs["shard"] = self._shard
+        if pending is None:
+            self._tracer.event(name, time_s=time_s, **attrs)
+            return
+        self._tracer.event(
+            name,
+            time_s=time_s,
+            query_id=pending.query_id,
+            stream=pending.stream,
+            template=pending.template,
+            **attrs,
+        )
+
+    def _push(self, time_s: float, kind: int, payload: object) -> None:
+        heapq.heappush(self._events, (time_s, kind, self._seq, payload))
+        self._seq += 1
+
+    def _arrive(
+        self, arrival: Arrival, now: float, routed: Optional["_Routed"] = None
+    ) -> PendingQuery:
+        """Count an arrival, give it the next query id, emit it; a
+        ``routed`` one adds its transfer time to the service and keeps
+        its original submission time and burned attempts."""
         cost = self._s._cost_of(arrival.template)
         self._counters.arrivals += 1
         pending = PendingQuery(
@@ -440,93 +492,38 @@ class SchedulerLoop:
             service_s=cost.service_s,
             working_set_bytes=cost.working_set_bytes,
         )
+        if routed is not None:
+            pending.service_s += routed.shuffle_s
+            pending.attempt = routed.attempt
+            if routed.arrival_s is not None:
+                pending.arrival_s = routed.arrival_s
         self._next_id += 1
         if self._tracer.enabled:
-            self._emit(
-                ARRIVAL,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                queue_depth=len(self._queue),
-            )
-            self._emit(
-                SHED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                retry=False,
-            )
-        self._counters.shed += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
-                failed_s=now,
-                attempts=1,
-                outcome=outcome,
-            )
-        )
-        if self._tracer.enabled:
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                attempts=1,
-                outcome=outcome,
-                latency_s=0.0,
-            )
+            self._emit(ARRIVAL, pending, now, queue_depth=len(self._queue))
+        return pending
 
-    def fail_evicted(
-        self, pending: PendingQuery, now: float, outcome: str = "shard_down"
-    ) -> None:
-        """Terminally fail a query evicted by a shard crash (no failover).
+    def _enqueue(self, pending: PendingQuery, now: float, retry: bool) -> bool:
+        """Queue a fresh arrival or a retried attempt; False if shed.
 
-        The query already holds this shard's counters (its arrival was
-        counted here), so the terminal failure must land here too —
-        otherwise availability would silently ignore the lost work.
+        A retry keeps its identity and its original arrival time, so
+        latency covers every attempt.
         """
-        self._counters.failed += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
-                failed_s=now,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-            )
-        )
+        breaker = self._breaker
+        if breaker is not None and breaker.is_open(pending.stream, now):
+            # The tenant's breaker is open: fail fast instead of burning
+            # cores on a service that is likely doomed.
+            self._shed(pending, now, retry=retry)
+            self._fail_attempt(pending, now, "shed")
+            return False
+        if self._selector is not None:
+            self._plan_query(pending, now)
+        self._queue.append(pending)
+        self._queued_threads += pending.threads
+        return True
+
+    def _shed(self, pending: PendingQuery, now: float, *, retry: bool) -> None:
         if self._tracer.enabled:
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-                latency_s=now - pending.arrival_s,
-            )
-
-    # -- internals ---------------------------------------------------------
-
-    def _emit(self, name: str, **attrs: object) -> None:
-        if self._shard:
-            attrs["shard"] = self._shard
-        self._tracer.event(name, **attrs)
-
-    def _push(self, time_s: float, kind: int, payload: object) -> None:
-        heapq.heappush(self._events, (time_s, kind, self._seq, payload))
-        self._seq += 1
+            self._emit(SHED, pending, now, retry=retry)
 
     def _resubmit_closed(self, pending: PendingQuery, now: float) -> None:
         """A closed-loop client moves on after a completion OR a
@@ -534,12 +531,37 @@ class SchedulerLoop:
         the client from the workload and drain the stream."""
         stream = self._closed_by_name.get(pending.stream)
         if stream is not None and now < self._duration_s:
-            self._push(
-                *_arrival_event(
-                    stream.next_arrival(
-                        self._closed_rngs[stream.name], pending.client, now
-                    )
-                )
+            arrival = stream.next_arrival(
+                self._closed_rngs[stream.name], pending.client, now
+            )
+            self._push(arrival.time_s, _ARRIVAL, arrival)
+
+    def _fail_terminal(
+        self, pending: PendingQuery, now: float, outcome: str, counter: str
+    ) -> None:
+        """Record a terminal failure and bump ``counters.<counter>``."""
+        counters = self._counters
+        setattr(counters, counter, getattr(counters, counter) + 1)
+        self._failures.append(
+            FailureRecord(
+                query_id=pending.query_id,
+                stream=pending.stream,
+                template=pending.template,
+                client=pending.client,
+                arrival_s=pending.arrival_s,
+                failed_s=now,
+                attempts=pending.attempt + 1,
+                outcome=outcome,
+            )
+        )
+        if self._tracer.enabled:
+            self._emit(
+                FAILED,
+                pending,
+                now,
+                attempts=pending.attempt + 1,
+                outcome=outcome,
+                latency_s=now - pending.arrival_s,
             )
 
     def _fail_attempt(
@@ -552,16 +574,13 @@ class SchedulerLoop:
         reinit_s: float = 0.0,
     ) -> None:
         """One attempt failed: retry with backoff, or fail terminally."""
-        counters = self._counters
         resilience = self._resilience
         breaker = self._breaker
         if self._tracer.enabled:
             self._emit(
                 ATTEMPT_FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
+                pending,
+                now,
                 attempt=pending.attempt,
                 outcome=outcome,
                 wasted_s=wasted_s,
@@ -571,7 +590,8 @@ class SchedulerLoop:
                 if self._tracer.enabled:
                     self._emit(
                         BREAKER_OPEN,
-                        time_s=now,
+                        None,
+                        now,
                         stream=pending.stream,
                         until_s=breaker.open_until(pending.stream),
                         consecutive_failures=breaker.threshold,
@@ -587,47 +607,21 @@ class SchedulerLoop:
                 resilience.backoff_s(pending.query_id, pending.attempt)
                 + reinit_s
             )
-            counters.retries += 1
+            self._counters.retries += 1
             if self._tracer.enabled:
                 self._emit(
                     RETRY,
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
+                    pending,
+                    now,
                     attempt=pending.attempt,
                     delay_s=delay_s,
                     outcome=outcome,
                 )
-            self._push(now + delay_s, _ARRIVAL, _Retry(pending))
+            self._push(now + delay_s, _ARRIVAL, pending)
             return
-        if outcome == "shed":
-            counters.shed += 1
-        else:
-            counters.failed += 1
-        self._failures.append(
-            FailureRecord(
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                client=pending.client,
-                arrival_s=pending.arrival_s,
-                failed_s=now,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-            )
+        self._fail_terminal(
+            pending, now, outcome, "shed" if outcome == "shed" else "failed"
         )
-        if self._tracer.enabled:
-            self._emit(
-                FAILED,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
-                attempts=pending.attempt + 1,
-                outcome=outcome,
-                latency_s=now - pending.arrival_s,
-            )
         self._resubmit_closed(pending, now)
 
     def _plan_query(self, pending: PendingQuery, now: float) -> None:
@@ -658,10 +652,8 @@ class SchedulerLoop:
         if self._tracer.enabled:
             self._emit(
                 PLANNER_CHOICE,
-                time_s=now,
-                query_id=pending.query_id,
-                stream=pending.stream,
-                template=pending.template,
+                pending,
+                now,
                 attempt=pending.attempt,
                 mode=selector.mode,
                 arm=arm.label,
@@ -670,11 +662,189 @@ class SchedulerLoop:
                 working_set_bytes=arm.working_set_bytes,
             )
 
-    def _dispatch(self, now: float) -> None:
-        scheduler = self._s
+    # Overflow regimes.  Each prices one admission past the EPC budget
+    # and returns ``(reserved_bytes, edmm_penalty_s, degraded_penalty_s,
+    # spill_penalty_s)`` — at most one penalty non-zero — or None when
+    # the attempt failed before holding any resources.
+
+    def _spill_overflow(
+        self, pending: PendingQuery, overflow_bytes: int, service: float,
+        now: float,
+    ) -> Optional[Tuple[int, float, float, float]]:
+        """Sealed spill: the overflowing share of the working set is
+        sealed out to untrusted storage at dispatch and streamed back
+        (unsealed + re-scanned) during service, so only the fitting
+        share is reserved in EPC — no EDMM growth, no Fig. 11 paging
+        collapse, just priced seal/unseal traffic."""
+        counters = self._counters
+        injector = self._injector
+        faulting = self._faulting
+        if faulting and injector.torn_block(
+            now, pending.query_id, pending.attempt
+        ):
+            # A sealed block failed its AES-GCM tag check on the way
+            # back in: the attempt aborts before it held any resources.
+            counters.torn_blocks += 1
+            if self._tracer.enabled:
+                self._emit(
+                    FAULT_TORN_BLOCK,
+                    pending,
+                    now,
+                    attempt=pending.attempt,
+                    spilled_bytes=float(overflow_bytes),
+                )
+            self._fail_attempt(pending, now, "torn_block")
+            return None
+        seal_s, unseal_s = self._spill.charge(overflow_bytes)
+        stall = injector.storage_stall_multiplier(now) if faulting else 1.0
+        stalled = stall > 1.0
+        if stalled:
+            seal_s *= stall
+            unseal_s *= stall
+            counters.storage_stalled += 1
+            if self._tracer.enabled:
+                self._emit(FAULT_STORAGE_STALL, pending, now, inflation=stall)
+        spill_penalty_s = seal_s + unseal_s
+        counters.spills += 1
+        counters.spilled_bytes += float(overflow_bytes)
+        if self._tracer.enabled:
+            self._emit(
+                SPILL,
+                pending,
+                now,
+                spilled_bytes=float(overflow_bytes),
+                seal_s=seal_s,
+                unseal_s=unseal_s,
+                stalled=stalled,
+                penalty_s=spill_penalty_s,
+            )
+        reserved_bytes = max(0, pending.working_set_bytes - overflow_bytes)
+        return reserved_bytes, 0.0, 0.0, spill_penalty_s
+
+    def _edmm_overflow(
+        self, pending: PendingQuery, overflow_bytes: int, service: float,
+        now: float,
+    ) -> Optional[Tuple[int, float, float, float]]:
+        """EDMM growth: the enclave grows to hold the whole working set
+        and the overflowing fraction pays the Fig. 11 collapse — unless
+        a squeeze degrades the admission or the growth is denied."""
         counters = self._counters
         injector = self._injector
         resilience = self._resilience
+        overflow_fraction = overflow_bytes / pending.working_set_bytes
+        if self._faulting:
+            if (
+                resilience is not None
+                and resilience.degrade_on_squeeze
+                and injector.squeezed(now)
+            ):
+                # Graceful degradation: admit at a reduced EPC
+                # reservation (only what fits the squeezed budget) and
+                # stream the shortfall through a bounded buffer — a mild
+                # slowdown instead of the EDMM/paging collapse.
+                reserved_bytes = max(
+                    0, pending.working_set_bytes - overflow_bytes
+                )
+                degraded_penalty_s = (
+                    service * DEGRADED_SLOWDOWN * min(1.0, overflow_fraction)
+                )
+                counters.degraded += 1
+                if self._tracer.enabled:
+                    self._emit(
+                        DEGRADED,
+                        pending,
+                        now,
+                        reserved_bytes=reserved_bytes,
+                        shortfall_bytes=overflow_bytes,
+                        penalty_s=degraded_penalty_s,
+                    )
+                return reserved_bytes, 0.0, degraded_penalty_s, 0.0
+            if injector.edmm_denied(now, pending.query_id, pending.attempt):
+                # Enclave.grow raised CapacityError: the growth request
+                # died before the query held any resources.
+                counters.edmm_denied += 1
+                if self._tracer.enabled:
+                    self._emit(
+                        FAULT_EDMM_DENIED,
+                        pending,
+                        now,
+                        attempt=pending.attempt,
+                        overflow_bytes=overflow_bytes,
+                    )
+                self._fail_attempt(pending, now, "edmm_denied")
+                return None
+        edmm_penalty_s = service * EDMM_OVERFLOW_SLOWDOWN * overflow_fraction
+        counters.edmm_admissions += 1
+        if self._tracer.enabled:
+            self._emit(
+                EDMM_OVERFLOW,
+                pending,
+                now,
+                overflow_bytes=overflow_bytes,
+                overflow_fraction=overflow_fraction,
+                penalty_s=edmm_penalty_s,
+            )
+        return pending.working_set_bytes, edmm_penalty_s, 0.0, 0.0
+
+    def _draw_faults(
+        self, pending: PendingQuery, service: float, now: float
+    ) -> Tuple[float, str, float, Optional[CrashDraw]]:
+        """AEX inflation, then this attempt's fate, frozen at dispatch.
+
+        Poison and crashes are drawn now, and the timeout caps whatever
+        service the faults produced.  Returns ``(aex_penalty_s, outcome,
+        attempt_s, crash)``.
+        """
+        counters = self._counters
+        injector = self._injector
+        resilience = self._resilience
+        aex_penalty_s = 0.0
+        inflation = injector.service_multiplier(
+            now, pending.query_id, pending.attempt
+        )
+        if inflation > 1.0:
+            aex_penalty_s = service * (inflation - 1.0)
+            service += aex_penalty_s
+            counters.aex_inflations += 1
+            if self._tracer.enabled:
+                self._emit(
+                    FAULT_AEX,
+                    pending,
+                    now,
+                    inflation=inflation,
+                    penalty_s=aex_penalty_s,
+                )
+        outcome = "ok"
+        attempt_s = service
+        crash: Optional[CrashDraw] = None
+        if injector.poisoned(now, pending.template):
+            outcome = "poison"
+            counters.poisoned += 1
+        else:
+            crash = injector.crash(now, pending.query_id, pending.attempt)
+            if crash is not None:
+                outcome = "crash"
+                attempt_s = service * crash.fraction
+                counters.crashes += 1
+                self._downtime_s += crash.reinit_s
+        if (
+            resilience is not None
+            and resilience.timeout_s is not None
+            and attempt_s > resilience.timeout_s
+        ):
+            outcome = "timeout"
+            attempt_s = resilience.timeout_s
+            crash = None
+            counters.timeouts += 1
+        return aex_penalty_s, outcome, attempt_s, crash
+
+    def _dispatch(self, now: float) -> None:
+        """Admit queued queries until the policy blocks: per admission,
+        policy pick -> overflow regime -> fault draws -> reserve -> one
+        ``query.dispatch``."""
+        scheduler = self._s
+        counters = self._counters
+        injector = self._injector
         faulting = self._faulting
         queue = self._queue
         while True:
@@ -710,197 +880,27 @@ class SchedulerLoop:
                 / scheduler._cores
             )
             service = pending.service_s + interference_s
-            edmm_penalty_s = 0.0
-            degraded_penalty_s = 0.0
-            spill_penalty_s = 0.0
+            edmm_penalty_s = degraded_penalty_s = spill_penalty_s = 0.0
             reserved_bytes = pending.working_set_bytes
-            if decision.overflow_bytes > 0 and self._spill is not None:
-                # Sealed spill path: the overflowing share of the
-                # working set is sealed out to untrusted storage at
-                # dispatch and streamed back (unsealed + re-scanned)
-                # during service, so only the fitting share is reserved
-                # in EPC — no EDMM growth, no Fig. 11 paging collapse,
-                # just priced seal/unseal traffic.
-                if faulting and injector.torn_block(
-                    now, pending.query_id, pending.attempt
-                ):
-                    # A sealed block failed its AES-GCM tag check on
-                    # the way back in: the attempt aborts before the
-                    # query held any resources.
-                    counters.torn_blocks += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_TORN_BLOCK,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            attempt=pending.attempt,
-                            spilled_bytes=float(decision.overflow_bytes),
-                        )
-                    self._fail_attempt(pending, now, "torn_block")
+            if decision.overflow_bytes > 0:
+                priced = self._overflow(
+                    self, pending, decision.overflow_bytes, service, now
+                )
+                if priced is None:
                     continue
-                reserved_bytes = max(
-                    0,
-                    pending.working_set_bytes - decision.overflow_bytes,
+                (reserved_bytes, edmm_penalty_s, degraded_penalty_s,
+                 spill_penalty_s) = priced
+                service += (
+                    edmm_penalty_s + degraded_penalty_s + spill_penalty_s
                 )
-                seal_s, unseal_s = self._spill.charge(
-                    decision.overflow_bytes
-                )
-                stall = 1.0
-                if faulting:
-                    stall = injector.storage_stall_multiplier(now)
-                stalled = stall > 1.0
-                if stalled:
-                    seal_s *= stall
-                    unseal_s *= stall
-                    counters.storage_stalled += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_STORAGE_STALL,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            inflation=stall,
-                        )
-                spill_penalty_s = seal_s + unseal_s
-                service += spill_penalty_s
-                counters.spills += 1
-                counters.spilled_bytes += float(decision.overflow_bytes)
-                if self._tracer.enabled:
-                    self._emit(
-                        SPILL,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
-                        spilled_bytes=float(decision.overflow_bytes),
-                        seal_s=seal_s,
-                        unseal_s=unseal_s,
-                        stalled=stalled,
-                        penalty_s=spill_penalty_s,
-                    )
-            elif decision.overflow_bytes > 0:
-                overflow_fraction = (
-                    decision.overflow_bytes / pending.working_set_bytes
-                )
-                if (
-                    faulting
-                    and resilience is not None
-                    and resilience.degrade_on_squeeze
-                    and injector.squeezed(now)
-                ):
-                    # Graceful degradation: admit at a reduced EPC
-                    # reservation (only what fits the squeezed budget)
-                    # and stream the shortfall through a bounded
-                    # buffer — a mild slowdown instead of the Fig. 11
-                    # EDMM/paging collapse.
-                    reserved_bytes = max(
-                        0,
-                        pending.working_set_bytes
-                        - decision.overflow_bytes,
-                    )
-                    degraded_penalty_s = (
-                        service
-                        * DEGRADED_SLOWDOWN
-                        * min(1.0, overflow_fraction)
-                    )
-                    service += degraded_penalty_s
-                    counters.degraded += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            DEGRADED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            reserved_bytes=reserved_bytes,
-                            shortfall_bytes=decision.overflow_bytes,
-                            penalty_s=degraded_penalty_s,
-                        )
-                elif faulting and injector.edmm_denied(
-                    now, pending.query_id, pending.attempt
-                ):
-                    # Enclave.grow raised CapacityError: the growth
-                    # request died before the query held any resources.
-                    counters.edmm_denied += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_EDMM_DENIED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            attempt=pending.attempt,
-                            overflow_bytes=decision.overflow_bytes,
-                        )
-                    self._fail_attempt(pending, now, "edmm_denied")
-                    continue
-                else:
-                    edmm_penalty_s = (
-                        service * EDMM_OVERFLOW_SLOWDOWN * overflow_fraction
-                    )
-                    service += edmm_penalty_s
-                    counters.edmm_admissions += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            EDMM_OVERFLOW,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            overflow_bytes=decision.overflow_bytes,
-                            overflow_fraction=overflow_fraction,
-                            penalty_s=edmm_penalty_s,
-                        )
-            aex_penalty_s = 0.0
             if faulting:
-                inflation = injector.service_multiplier(
-                    now, pending.query_id, pending.attempt
+                aex_penalty_s, outcome, attempt_s, crash = self._draw_faults(
+                    pending, service, now
                 )
-                if inflation > 1.0:
-                    aex_penalty_s = service * (inflation - 1.0)
-                    service += aex_penalty_s
-                    counters.aex_inflations += 1
-                    if self._tracer.enabled:
-                        self._emit(
-                            FAULT_AEX,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            inflation=inflation,
-                            penalty_s=aex_penalty_s,
-                        )
-            # Freeze this attempt's fate at dispatch: poison and
-            # crashes are drawn now, and the timeout caps whatever
-            # service the faults produced.
-            outcome = "ok"
-            attempt_s = service
-            crash: Optional[CrashDraw] = None
-            if faulting:
-                if injector.poisoned(now, pending.template):
-                    outcome = "poison"
-                    counters.poisoned += 1
-                else:
-                    crash = injector.crash(
-                        now, pending.query_id, pending.attempt
-                    )
-                    if crash is not None:
-                        outcome = "crash"
-                        attempt_s = service * crash.fraction
-                        counters.crashes += 1
-                        self._downtime_s += crash.reinit_s
-                if (
-                    resilience is not None
-                    and resilience.timeout_s is not None
-                    and attempt_s > resilience.timeout_s
-                ):
-                    outcome = "timeout"
-                    attempt_s = resilience.timeout_s
-                    crash = None
-                    counters.timeouts += 1
+            else:
+                aex_penalty_s, outcome, attempt_s, crash = (
+                    0.0, "ok", service, None
+                )
             if decision.bypassed:
                 counters.bypass_dispatches += 1
             if now == pending.arrival_s:
@@ -910,10 +910,6 @@ class SchedulerLoop:
             self._epc_high_water = max(self._epc_high_water, self._epc_used)
             if self._tracer.enabled:
                 dispatch_attrs = dict(
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
                     queue_wait_s=now - pending.arrival_s,
                     base_service_s=pending.service_s,
                     interference_s=interference_s,
@@ -931,7 +927,7 @@ class SchedulerLoop:
                     )
                 if self._spill is not None:
                     dispatch_attrs.update(spill_penalty_s=spill_penalty_s)
-                self._emit(DISPATCH, **dispatch_attrs)
+                self._emit(DISPATCH, pending, now, **dispatch_attrs)
                 gauge = "scheduler.epc_high_water_bytes"
                 if self._shard:
                     gauge = f"{gauge}.{self._shard}"
@@ -947,103 +943,33 @@ class SchedulerLoop:
                     overflow_bytes=decision.overflow_bytes,
                     bypassed=decision.bypassed,
                     outcome=outcome,
-                    reserved_bytes=reserved_bytes,
                     crash=crash,
                 ),
             )
 
     def step(self) -> None:
         """Process exactly one event (events must be pending)."""
-        counters = self._counters
-        breaker = self._breaker
-        selector = self._selector
-        queue = self._queue
         now, kind, _, payload = heapq.heappop(self._events)
         if kind == _ARRIVAL:
-            if isinstance(payload, _Retry):
-                # A retried attempt re-enters the queue like a fresh
-                # arrival but keeps its identity (and its original
-                # arrival time, so latency covers every attempt).
-                pending = payload.pending
-                if breaker is not None and breaker.is_open(
-                    pending.stream, now
-                ):
-                    if self._tracer.enabled:
-                        self._emit(
-                            SHED,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
-                            retry=True,
-                        )
-                    self._fail_attempt(pending, now, "shed")
-                    return
-                if selector is not None:
-                    self._plan_query(pending, now)
-                queue.append(pending)
-                self._queued_threads += pending.threads
-                self._dispatch(now)
+            if isinstance(payload, PendingQuery):
+                # A retried attempt: it re-enters the queue as it is.
+                if self._enqueue(payload, now, retry=True):
+                    self._dispatch(now)
                 return
-            shuffle_s = 0.0
-            anchor_s: Optional[float] = None
-            attempt = 0
             if isinstance(payload, _Routed):
-                shuffle_s = payload.shuffle_s
-                anchor_s = payload.arrival_s
-                attempt = payload.attempt
-                arrival = payload.arrival
+                pending = self._arrive(payload.arrival, now, payload)
             else:
-                arrival = payload
-            cost = self._s._cost_of(arrival.template)
-            counters.arrivals += 1
-            pending = PendingQuery(
-                query_id=self._next_id,
-                stream=arrival.stream,
-                template=arrival.template,
-                client=arrival.client,
-                arrival_s=now if anchor_s is None else anchor_s,
-                threads=cost.threads,
-                service_s=cost.service_s + shuffle_s,
-                working_set_bytes=cost.working_set_bytes,
-                attempt=attempt,
-            )
-            self._next_id += 1
-            if self._tracer.enabled:
-                self._emit(
-                    ARRIVAL,
-                    time_s=now,
-                    query_id=pending.query_id,
-                    stream=pending.stream,
-                    template=pending.template,
-                    queue_depth=len(queue),
-                )
-            if breaker is not None and breaker.is_open(pending.stream, now):
-                # The tenant's breaker is open: fail fast instead of
-                # burning cores on a service that is likely doomed.
-                if self._tracer.enabled:
-                    self._emit(
-                        SHED,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
-                        retry=False,
-                    )
-                self._fail_attempt(pending, now, "shed")
+                pending = self._arrive(payload, now)
+            if not self._enqueue(pending, now, retry=False):
                 return
-            if selector is not None:
-                self._plan_query(pending, now)
-            queue.append(pending)
-            self._queued_threads += pending.threads
             # No resources were freed since the last dispatch round, so
             # the only query this round can admit is the new arrival:
             # an unchanged queue length means it stayed queued (an O(1)
             # check; scanning the deque re-compared every field).
-            depth_before = len(queue)
+            depth_before = len(self._queue)
             self._dispatch(now)
-            if len(queue) == depth_before:
-                counters.queued += 1
+            if len(self._queue) == depth_before:
+                self._counters.queued += 1
         elif kind == _WAKE:
             # A fault window edge changed the admission state (e.g. an
             # EPC squeeze ended): give the queue another chance.
@@ -1056,20 +982,18 @@ class SchedulerLoop:
                 self._cancelled.discard(finish.query_id)
                 return
             pending = self._running.pop(finish.query_id)
-            self._reserved.pop(finish.query_id, None)
             self._free_cores += pending.threads
-            self._epc_used -= finish.reserved_bytes
+            self._epc_used -= self._reserved.pop(finish.query_id)
             if finish.outcome == "ok":
-                counters.completed += 1
-                if breaker is not None:
-                    breaker.record_success(pending.stream)
+                selector = self._selector
+                self._counters.completed += 1
+                if self._breaker is not None:
+                    self._breaker.record_success(pending.stream)
                 if self._tracer.enabled:
                     self._emit(
                         FINISH,
-                        time_s=now,
-                        query_id=pending.query_id,
-                        stream=pending.stream,
-                        template=pending.template,
+                        pending,
+                        now,
                         latency_s=now - pending.arrival_s,
                         service_s=now - finish.start_s,
                     )
@@ -1087,10 +1011,8 @@ class SchedulerLoop:
                     if self._tracer.enabled:
                         self._emit(
                             PLANNER_OBSERVE,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
+                            pending,
+                            now,
                             arm=pending.arm,
                             service_s=now - finish.start_s,
                             latency_s=now - pending.arrival_s,
@@ -1110,17 +1032,7 @@ class SchedulerLoop:
                         attempts=pending.attempt + 1,
                     )
                 )
-                stream = self._closed_by_name.get(pending.stream)
-                if stream is not None and now < self._duration_s:
-                    self._push(
-                        *_arrival_event(
-                            stream.next_arrival(
-                                self._closed_rngs[stream.name],
-                                pending.client,
-                                now,
-                            )
-                        )
-                    )
+                self._resubmit_closed(pending, now)
             else:
                 wasted_s = now - finish.start_s
                 reinit_s = 0.0
@@ -1129,10 +1041,8 @@ class SchedulerLoop:
                     if self._tracer.enabled:
                         self._emit(
                             FAULT_CRASH,
-                            time_s=now,
-                            query_id=pending.query_id,
-                            stream=pending.stream,
-                            template=pending.template,
+                            pending,
+                            now,
                             attempt=pending.attempt,
                             at_fraction=finish.crash.fraction,
                             lost_s=wasted_s,
@@ -1163,21 +1073,19 @@ class SchedulerLoop:
             downtime_s=self._downtime_s,
         )
         if self._tracer.enabled:
-            for name, value in counters.as_dict().items():
-                self._tracer.count(f"scheduler.{name}", value)
+            # Un-faulted runs carry no fault counters or attributes, and
+            # storage-less runs no storage counters.
+            counts: Dict[str, float] = dict(counters.as_dict())
             end_attrs = dict(
-                time_s=metrics.makespan_s,
                 setting=scheduler._setting_label,
                 policy=scheduler._policy.label,
                 completed=counters.completed,
                 epc_high_water_bytes=int(self._epc_high_water),
             )
             if self._spill is not None:
-                for name, value in counters.storage_dict().items():
-                    self._tracer.count(f"scheduler.{name}", value)
+                counts.update(counters.storage_dict())
             if self._faulting:
-                for name, value in counters.fault_dict().items():
-                    self._tracer.count(f"scheduler.{name}", value)
+                counts.update(counters.fault_dict())
                 end_attrs.update(
                     failed=counters.failed,
                     shed=counters.shed,
@@ -1185,7 +1093,9 @@ class SchedulerLoop:
                     availability=metrics.availability,
                     downtime_s=self._downtime_s,
                 )
-            self._emit(RUN_END, **end_attrs)
+            for name, value in counts.items():
+                self._tracer.count(f"scheduler.{name}", value)
+            self._emit(RUN_END, None, metrics.makespan_s, **end_attrs)
         return metrics
 
 
@@ -1196,13 +1106,7 @@ class _Finish:
     overflow_bytes: int
     bypassed: bool
     outcome: str = "ok"
-    reserved_bytes: int = 0
     crash: Optional[CrashDraw] = None
-
-
-@dataclass(frozen=True)
-class _Retry:
-    pending: PendingQuery
 
 
 @dataclass(frozen=True)
@@ -1213,7 +1117,3 @@ class _Routed:
     shuffle_s: float = 0.0
     arrival_s: Optional[float] = None
     attempt: int = 0
-
-
-def _arrival_event(arrival: Arrival) -> Tuple[float, int, Arrival]:
-    return arrival.time_s, _ARRIVAL, arrival
