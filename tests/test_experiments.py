@@ -2,22 +2,45 @@
 
 Each experiment module runs once (quick fidelity) and the resulting report
 is asserted against the qualitative shape of the corresponding paper figure
-— who wins, by roughly what factor, where crossovers fall.
+— who wins, by roughly what factor, where crossovers fall.  Its quick-mode
+CSV is also pinned by sha256 in ``tests/paper_digests.json``; a deliberate
+re-bless rewrites that entry from the digest the failure prints.
 """
+
+import hashlib
+import json
+import pathlib
 
 import pytest
 
 from repro.bench.registry import run_experiment
 
+#: sha256 of each paper experiment's quick-mode CSV.  The shape tests and
+#: the goldens allow a band; these pins fail a change that moves any byte.
+PINS = json.loads(
+    (pathlib.Path(__file__).with_name("paper_digests.json")).read_text()
+)
+
 # Quick-mode experiment results are deterministic per seed; cache one run
-# of each so the module's tests share it.
+# of each (with its CSV digest) so the module's tests share it.
 _cache = {}
 
 
 def report_for(experiment_id):
     if experiment_id not in _cache:
-        _cache[experiment_id] = run_experiment(experiment_id, quick=True)
-    return _cache[experiment_id]
+        report = run_experiment(experiment_id, quick=True)
+        digest = hashlib.sha256(report.to_csv().encode("utf-8")).hexdigest()
+        _cache[experiment_id] = (report, digest)
+    report, digest = _cache[experiment_id]
+    assert digest == PINS[experiment_id], (
+        f"{experiment_id} quick CSV moved; actual sha256 {digest}"
+    )
+    return report
+
+
+@pytest.mark.parametrize("experiment_id", sorted(PINS))
+def test_quick_csv_is_pinned(experiment_id):
+    report_for(experiment_id)
 
 
 class TestFig01:
