@@ -1,6 +1,6 @@
 """Report bundles: run a set of experiments and emit one Markdown report.
 
-``sgxv2-bench --report results/REPORT.md`` (or :func:`write_report`) runs
+``sgxv2-bench --report out/REPORT.md`` (or :func:`write_report`) runs
 the requested experiments and renders a single self-contained Markdown
 document — title, calibration validation, one section per experiment with
 its table, chart, and notes — the artifact a reproduction hand-off wants.

@@ -4,7 +4,7 @@ Examples::
 
     sgxv2-bench --list
     sgxv2-bench fig08
-    sgxv2-bench all --full --csv results/
+    sgxv2-bench all --full --csv out/csv/
 """
 
 from __future__ import annotations
