@@ -25,11 +25,9 @@ in request order.  Three properties hold by construction:
   never in the per-experiment files the byte-identity guarantee covers.
 
 Below the experiment cache, the **per-query profile memo**
-(:mod:`repro.cache.profile`) memoizes individual pricing runs.  It is on
-by default (``memo=False`` disables it for a session); with a ``--cache``
-directory the memo gains a disk tier under ``<cache-dir>/profiles`` that
-spawned workers and later sessions share, so even a cold experiment cache
-reuses every previously priced profile.
+(:mod:`repro.cache.profile`) memoizes individual pricing runs inside each
+process: the serial path shares one memo across the session's
+experiments, and each spawned worker keeps its own.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ from repro.trace import Tracer
 class _Task:
     """One experiment's worker payload.
 
-    Spawned workers inherit no ambient state (run config, seed, memo), so
-    every setting rides in here as a pickled value.
+    Spawned workers inherit no ambient state (run config, seed), so every
+    setting rides in here as a pickled value.
     """
 
     experiment_id: str
@@ -63,8 +61,6 @@ class _Task:
     traced: bool
     repetition_jobs: int
     run: RunConfig
-    memo: bool
-    memo_dir: Optional[str]
 
 
 @dataclass
@@ -140,25 +136,16 @@ def _worker(task: _Task, machine: Optional[SimMachine] = None) -> Dict:
     """Run one task; return its JSON-safe result payload.
 
     The process-pool entry point (top-level so spawn can pickle it) and
-    the serial path alike.  ``task.memo=False`` installs the disabled
-    profile memo (the ``--no-memo`` path); a ``memo_dir`` a disk-backed
-    tier shared by every worker and every later session over the same
-    ``--cache`` dir; otherwise the ambient process-global memo stays.
-    The memo's hit/miss *delta* rides on the payload (pool workers are
-    reused across tasks, and the ambient memo outlives the session), so
-    summing the payload stats across tasks never double-counts.
+    the serial path alike.  The ambient profile memo's hit/miss *delta*
+    rides on the payload (pool workers are reused across tasks, and the
+    ambient memo outlives the session), so summing the payload stats
+    across tasks never double-counts.
     """
-    from repro.cache import ProfileMemo, profile_memo, use_profile_memo
+    from repro.cache import profile_memo
 
-    if not task.memo:
-        memo_scope = use_profile_memo(None)
-    elif task.memo_dir is not None:
-        memo_scope = use_profile_memo(ProfileMemo(task.memo_dir))
-    else:
-        memo_scope = contextlib.nullcontext()
     start = time.perf_counter()
     tracer = Tracer(label=task.experiment_id) if task.traced else None
-    with memo_scope, use_repetition_jobs(task.repetition_jobs):
+    with use_repetition_jobs(task.repetition_jobs):
         memo = profile_memo()
         hits_before, misses_before = memo.hits, memo.misses
         report = run_experiment(
@@ -208,7 +195,6 @@ def run_session(
     base_seed: Optional[int] = None,
     traced: bool = False,
     run: Optional[RunConfig] = None,
-    memo: bool = True,
 ) -> SessionResult:
     """Run ``experiment_ids`` (possibly in parallel, possibly cached).
 
@@ -223,9 +209,6 @@ def run_session(
     installed for every run, pickled into workers and hashed into every
     cache key, so serial, parallel and cached-replay runs of one config
     stay byte-identical while different configs never collide.
-    ``memo=False`` disables the per-query profile memo for every run (the
-    ``--no-memo`` channel); memoized and unmemoized runs are
-    byte-identical, so the flag is never keyed.
     """
     ids = list(experiment_ids)
     for experiment_id in ids:
@@ -284,21 +267,11 @@ def run_session(
     else:
         pending = unique_ids
 
-    # A --cache directory also hosts the profile memo's disk tier, so
-    # workers (and later sessions) share priced profiles even when the
-    # experiment-level entries themselves miss.
-    memo_dir: Optional[str] = None
-    if memo and store is not None and store.directory is not None:
-        memo_dir = str(store.directory / "profiles")
-
     # Split the job budget: one process per pending experiment first, the
     # remainder as repetition threads inside each worker.
     repetition_jobs = max(1, jobs // len(pending)) if pending else 1
     tasks = [
-        _Task(
-            experiment_id, quick, base_seed, traced, repetition_jobs, run,
-            memo, memo_dir,
-        )
+        _Task(experiment_id, quick, base_seed, traced, repetition_jobs, run)
         for experiment_id in pending
     ]
     pool = None

@@ -61,7 +61,6 @@ def build_report(
     cache: Optional[Union[MemoStore, str, pathlib.Path]] = None,
     base_seed: Optional[int] = None,
     run: Optional[RunConfig] = None,
-    memo: bool = True,
 ) -> str:
     """Render the full Markdown report for ``experiment_ids`` (default all).
 
@@ -74,9 +73,7 @@ def build_report(
     memoizes their results (see :func:`repro.bench.parallel.run_session`);
     the rendered report is byte-identical for any ``jobs``/``cache``
     combination.  ``run`` applies the session settings
-    (:class:`~repro.runconfig.RunConfig`) to every run; ``memo=False``
-    disables the per-query profile memo (the ``--no-memo`` channel) —
-    output bytes are identical either way, only wall-clock changes.
+    (:class:`~repro.runconfig.RunConfig`) to every run.
     """
     ids: List[str] = sorted(experiment_ids or EXPERIMENTS)
     for experiment_id in ids:
@@ -117,7 +114,6 @@ def build_report(
         base_seed=base_seed,
         traced=trace_dir is not None,
         run=run,
-        memo=memo,
     )
     for outcome in session.runs:
         outcome.write_artifacts(csv_dir, trace_dir)

@@ -9,11 +9,11 @@ Calibration changes rotate the keys, so invalidation is automatic — a
 modified cost model can never be answered from stale results.
 
 Below the experiment level, :mod:`repro.cache.profile` memoizes the
-individual *pricing runs* (catalog profiles, planner candidate
-estimates) under :func:`~repro.cache.keys.query_profile_key`, so
-repeated templates across experiments, planner arms, and cluster shards
-execute the real operators exactly once per process (or once per cache
-directory, with a disk tier).
+individual *pricing runs* (catalog profiles, planner candidate and
+rewrite estimates) in one in-process dict keyed by
+:func:`~repro.cache.keys.query_profile_key`, so repeated templates across
+experiments, planner arms, and cluster shards execute the real operators
+once per process.
 """
 
 from repro.cache.keys import (
@@ -24,20 +24,12 @@ from repro.cache.keys import (
     fingerprint,
     query_profile_key,
 )
-from repro.cache.profile import (
-    DEFAULT_PROFILE_ENTRIES,
-    DISABLED_MEMO,
-    ProfileMemo,
-    profile_memo,
-    use_profile_memo,
-)
+from repro.cache.profile import ProfileMemo, profile_memo, use_profile_memo
 from repro.cache.store import DEFAULT_MEMORY_ENTRIES, MemoStore
 
 __all__ = [
     "CACHE_FORMAT",
     "DEFAULT_MEMORY_ENTRIES",
-    "DEFAULT_PROFILE_ENTRIES",
-    "DISABLED_MEMO",
     "MemoStore",
     "ProfileMemo",
     "calibration_digest",

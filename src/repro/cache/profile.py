@@ -1,135 +1,88 @@
-"""The per-query profile memo: sub-experiment operator-run memoization.
+"""The per-query profile memo: one in-process dict of priced runs.
 
 The experiment cache (:func:`~repro.cache.keys.experiment_key` +
 :class:`~repro.cache.store.MemoStore`) replays whole experiments; this
 module memoizes one level below it — the individual *pricing runs* the
-serving stack performs through the real operators.  Two call sites feed
-it:
+serving stack performs through the real operators.  Three call sites
+feed it, each through :meth:`ProfileMemo.get_or_price`:
 
 * :meth:`repro.workload.jobs.JobCatalog._price` — a catalog prices every
   template once per setting (and once per planner candidate), executing
-  the operators for real.  Every wl experiment builds fresh catalogs, so
-  a five-experiment session re-prices the same templates five times.
+  the operators for real.
 * :func:`repro.planner.costing.estimate_candidate` — the planner prices
   every candidate of every template, and a clustered run builds one
   planner *per shard* (wl06: eight shards, eight identical enumerations).
+* :func:`repro.rewrite.race.estimate_rewrite` — the rewrite race prices
+  every proved rewrite of a TPC-H template.
 
-Both are pure functions of ``(template, candidate, setting, stand-in
+Each is a pure function of ``(template, candidate, setting, stand-in
 caps, pricing seed, calibration digest)`` — exactly what
-:func:`~repro.cache.keys.query_profile_key` hashes — so a process-wide
-memo collapses all that repeat work into dictionary lookups without
-changing a single produced number.
+:func:`~repro.cache.keys.query_profile_key` hashes — so the memo turns
+repeat pricing into a dictionary lookup without changing a single
+produced number.
 
-Determinism contract: a memo hit returns byte-identical values to the
-run it skipped, and pricing runs are *silent* (they execute under a
-``NullTracer``), so memoized and unmemoized runs produce byte-identical
-experiment artifacts.  Hit/miss counters surface only in the session
-trace (``bench.memo.hits``/``bench.memo.misses``), the one documented
+Determinism contract: the memo stores the priced value itself, so a hit
+returns exactly what the miss returned, and pricing runs are *silent*
+(they execute under a ``NullTracer``), so experiment artifacts cannot
+depend on whether the operators ran or the memo answered.  Hit/miss
+counters surface only in the session trace
+(``bench.memo.hits``/``bench.memo.misses``), the one documented
 non-deterministic artifact.
 
-The default memo is process-global, in-memory, and always on; ``with
-use_profile_memo(None)`` disables it for a scope (the benchmark's cold
-arm, byte-identity tests), and ``use_profile_memo(ProfileMemo(dir))``
-installs a disk-backed tier that persists across processes (the session
-driver points workers at ``<cache-dir>/profiles`` under ``--cache``).
+The default memo is process-global and lives as long as the process;
+``with use_profile_memo(ProfileMemo())`` scopes a fresh one.
 """
 
 from __future__ import annotations
 
-import pathlib
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Dict, Iterator, TypeVar
 
-from repro.cache.store import MemoStore
-
-#: The profile memo keeps more entries resident than the experiment store:
-#: entries are tiny (a few floats) and a full-registry session touches a
-#: few hundred distinct (template, setting, candidate) triples.
-DEFAULT_PROFILE_ENTRIES = 512
+T = TypeVar("T")
 
 
 class ProfileMemo:
-    """A :class:`MemoStore` wrapper dedicated to per-query profiles.
+    """Priced values by profile key, with hit/miss counters."""
 
-    ``directory=None`` keeps the memo purely in-memory (the process-global
-    default); with a directory, priced profiles persist across processes —
-    spawned ``--jobs`` workers and repeat sessions share one warm tier.
-    """
+    def __init__(self) -> None:
+        self._values: Dict[str, Any] = {}
+        self.hits = 0
+        self.misses = 0
 
-    enabled = True
+    def get_or_price(self, key: str, price: Callable[[], T]) -> T:
+        """The value stored under ``key``, or ``price()`` stored there."""
+        try:
+            value = self._values[key]
+        except KeyError:
+            self.misses += 1
+            value = self._values[key] = price()
+            return value
+        self.hits += 1
+        return value
 
-    def __init__(
-        self,
-        directory: Optional[Union[str, pathlib.Path]] = None,
-        *,
-        memory_entries: int = DEFAULT_PROFILE_ENTRIES,
-    ) -> None:
-        self.store = MemoStore(directory, memory_entries=memory_entries)
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.store.get(key)
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        self.store.put(key, value)
-
-    @property
-    def hits(self) -> int:
-        return self.store.hits
-
-    @property
-    def misses(self) -> int:
-        return self.store.misses
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return self.store.stats
-
-
-class _DisabledMemo:
-    """Sentinel installed by ``use_profile_memo(None)``: every lookup
-    misses silently and nothing is stored (and nothing is counted — a
-    disabled memo has no traffic to report)."""
-
-    enabled = False
-    hits = 0
-    misses = 0
-    stats: Dict[str, int] = {"hits": 0, "misses": 0, "entries": 0}
-
-    def get(self, key: str) -> None:
-        return None
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        return None
-
-
-DISABLED_MEMO = _DisabledMemo()
 
 #: The ambient memo.  Module-global like the tracer: pricing happens deep
 #: inside operators' callers, and threading a memo argument through every
 #: catalog/planner constructor would contaminate every signature.
-_ACTIVE: Union[ProfileMemo, _DisabledMemo] = ProfileMemo()
+_ACTIVE = ProfileMemo()
 
 
-def profile_memo() -> Union[ProfileMemo, _DisabledMemo]:
-    """The memo pricing runs consult (possibly the disabled sentinel)."""
+def profile_memo() -> ProfileMemo:
+    """The memo pricing runs consult."""
     return _ACTIVE
 
 
 @contextmanager
-def use_profile_memo(
-    memo: Optional[ProfileMemo],
-) -> Iterator[Union[ProfileMemo, _DisabledMemo]]:
-    """Scope ``memo`` as the ambient profile memo (``None`` disables).
+def use_profile_memo(memo: ProfileMemo) -> Iterator[ProfileMemo]:
+    """Scope ``memo`` as the ambient profile memo.
 
-    Used by the engine benchmark's cold arm, the byte-identity tests, and
-    the session driver (to point workers at a disk-backed tier).  Scopes
-    nest and always restore, so a failed run cannot leak a disabled memo
+    Scopes nest and always restore, so a failed run cannot leak its memo
     into the rest of the process.
     """
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = memo if memo is not None else DISABLED_MEMO
+    _ACTIVE = memo
     try:
-        yield _ACTIVE
+        yield memo
     finally:
         _ACTIVE = previous

@@ -166,16 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
             "entries automatically"
         ),
     )
-    parser.add_argument(
-        "--no-memo",
-        action="store_true",
-        help=(
-            "disable the per-query profile memo (every template/candidate "
-            "is re-priced through the real operators on each use; results "
-            "are byte-identical either way, only slower — the engine "
-            "benchmark's cold arm)"
-        ),
-    )
     for name, metavar, _, text in RUN_FLAGS:
         parser.add_argument(f"--{name}", metavar=metavar, help=text)
     return parser
@@ -266,7 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache=store,
             base_seed=args.seed,
             run=run,
-            memo=not args.no_memo,
         )
         print(f"wrote {path}")
         _print_cache_summary(store, args.cache)
@@ -287,7 +276,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         base_seed=args.seed,
         traced=trace_dir is not None,
         run=run,
-        memo=not args.no_memo,
     )
     for outcome in session.runs:
         print(outcome.report.print_table())

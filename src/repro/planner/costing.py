@@ -115,31 +115,36 @@ def estimate_candidate(
     traffic against the storage budget, which is where the in-EPC vs
     spill crossover comes from.
     """
+    key = query_profile_key(
+        kind="plan-estimate",
+        template=template,
+        setting=setting,
+        candidate=candidate,
+        pricing_seed=pricing_seed,
+        row_cap=PRICING_ROW_CAP,
+        sf_cap=PRICING_SF_CAP,
+        params=machine.params,
+        spec=machine.spec,
+        storage=storage if candidate.spill else None,
+    )
+    return profile_memo().get_or_price(
+        key,
+        lambda: _price_candidate(
+            machine, setting, template, candidate, pricing_seed, storage
+        ),
+    )
+
+
+def _price_candidate(
+    machine: SimMachine,
+    setting: ExecutionSetting,
+    template,
+    candidate: PlanCandidate,
+    pricing_seed: int,
+    storage,
+) -> CandidateEstimate:
+    """Execute :func:`estimate_candidate`'s pricing run."""
     sim = SimMachine(machine.spec, machine.params)
-    memo = profile_memo()
-    key = ""
-    if memo.enabled:
-        key = query_profile_key(
-            kind="plan-estimate",
-            template=template,
-            setting=setting,
-            candidate=candidate,
-            pricing_seed=pricing_seed,
-            row_cap=PRICING_ROW_CAP,
-            sf_cap=PRICING_SF_CAP,
-            params=machine.params,
-            spec=machine.spec,
-            storage=storage if candidate.spill else None,
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return CandidateEstimate(
-                candidate=candidate,
-                cycles=float(hit["cycles"]),
-                seconds=float(hit["seconds"]),
-                working_set_bytes=int(hit["working_set_bytes"]),
-                sizing_cycles=float(hit["sizing_cycles"]),
-            )
     kind = template.kind.value
     store = None
     budget = None
@@ -212,16 +217,6 @@ def estimate_candidate(
     if setting.enclave_mode:
         sizing = sizing_cycles(sim.params, candidate, working_set)
     total = cycles + sizing
-    if memo.enabled:
-        memo.put(
-            key,
-            {
-                "cycles": float(total),
-                "seconds": float(total / sim.frequency_hz),
-                "working_set_bytes": int(working_set),
-                "sizing_cycles": float(sizing),
-            },
-        )
     return CandidateEstimate(
         candidate=candidate,
         cycles=total,

@@ -200,34 +200,38 @@ def estimate_rewrite(
     tables, and honours the candidate's pipelining flag.
     """
     physical = static_physical(template, rewrite)
+    key = query_profile_key(
+        kind="rewrite-estimate",
+        template=template,
+        setting=setting,
+        candidate={
+            "physical": physical,
+            "rewrite": rewrite.signature(),
+        },
+        pricing_seed=pricing_seed,
+        row_cap=PRICING_ROW_CAP,
+        sf_cap=PRICING_SF_CAP,
+        params=machine.params,
+        spec=machine.spec,
+    )
+    return profile_memo().get_or_price(
+        key,
+        lambda: _price_rewrite(
+            machine, setting, template, rewrite, physical, pricing_seed
+        ),
+    )
+
+
+def _price_rewrite(
+    machine: SimMachine,
+    setting,
+    template,
+    rewrite: RewriteCandidate,
+    physical,
+    pricing_seed: int,
+) -> RewriteEstimate:
+    """Execute :func:`estimate_rewrite`'s pricing run."""
     sim = SimMachine(machine.spec, machine.params)
-    memo = profile_memo()
-    key = ""
-    if memo.enabled:
-        key = query_profile_key(
-            kind="rewrite-estimate",
-            template=template,
-            setting=setting,
-            candidate={
-                "physical": physical,
-                "rewrite": rewrite.signature(),
-            },
-            pricing_seed=pricing_seed,
-            row_cap=PRICING_ROW_CAP,
-            sf_cap=PRICING_SF_CAP,
-            params=machine.params,
-            spec=machine.spec,
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return RewriteEstimate(
-                candidate=rewrite,
-                physical=physical,
-                cycles=float(hit["cycles"]),
-                seconds=float(hit["seconds"]),
-                working_set_bytes=int(hit["working_set_bytes"]),
-                proxy_bytes=float(hit["proxy_bytes"]),
-            )
     plan = rewrite.plan()
     data = generate_tpch(
         template.scale_factor, seed=pricing_seed, physical_sf_cap=PRICING_SF_CAP
@@ -257,16 +261,6 @@ def estimate_rewrite(
         sizing = sizing_cycles(sim.params, physical, working_set)
     total = cycles + sizing
     proxy = proxy_cost_bytes(plan, template.query, template.scale_factor)
-    if memo.enabled:
-        memo.put(
-            key,
-            {
-                "cycles": float(total),
-                "seconds": float(total / sim.frequency_hz),
-                "working_set_bytes": int(working_set),
-                "proxy_bytes": float(proxy),
-            },
-        )
     return RewriteEstimate(
         candidate=rewrite,
         physical=physical,

@@ -317,29 +317,31 @@ class JobCatalog:
                     f"spill candidate {candidate.label()!r} cannot be "
                     "priced without a storage budget (--storage)"
                 )
-        memo = profile_memo()
-        key = ""
-        if memo.enabled:
-            proto = self._machine
-            key = query_profile_key(
-                kind="catalog-price",
-                template=template,
-                setting=setting,
-                candidate=candidate,
-                pricing_seed=self.pricing_seed,
-                row_cap=self.row_cap,
-                sf_cap=self.sf_cap,
-                params=proto.params if proto is not None else None,
-                spec=proto.spec if proto is not None else None,
-                storage=storage,
-            )
-            hit = memo.get(key)
-            if hit is not None:
-                footprint = hit["footprint"]
-                return (
-                    float(hit["seconds"]),
-                    int(footprint) if footprint is not None else None,
-                )
+        proto = self._machine
+        key = query_profile_key(
+            kind="catalog-price",
+            template=template,
+            setting=setting,
+            candidate=candidate,
+            pricing_seed=self.pricing_seed,
+            row_cap=self.row_cap,
+            sf_cap=self.sf_cap,
+            params=proto.params if proto is not None else None,
+            spec=proto.spec if proto is not None else None,
+            storage=storage,
+        )
+        return profile_memo().get_or_price(
+            key, lambda: self._execute(template, setting, candidate, storage)
+        )
+
+    def _execute(
+        self,
+        template: JobTemplate,
+        setting: ExecutionSetting,
+        candidate: PlanCandidate,
+        storage,
+    ) -> Tuple[float, Optional[int]]:
+        """Execute one pricing run through the real operators."""
         sim = self._fresh_machine()
         store = None
         budget = None
@@ -405,8 +407,6 @@ class JobCatalog:
                 footprint = int(
                     ctx.enclave.config.heap_bytes - ctx.enclave.heap_free_bytes
                 )
-        if memo.enabled:
-            memo.put(key, {"seconds": seconds, "footprint": footprint})
         return seconds, footprint
 
 

@@ -1,12 +1,12 @@
 """The per-query profile memo: keys, scoping, invalidation, byte-identity.
 
-The memo sits *below* the experiment cache: it memoizes composed access
-profiles and priced service times per (template, plan, setting, sizes,
+The memo sits *below* the experiment cache: it memoizes priced service
+times and plan/rewrite estimates per (template, plan, setting, sizes,
 calibration), so repeated pricing skips operator re-execution.  These
 tests pin the load-bearing contracts: keys rotate with every component,
 calibration changes invalidate at the query level, hit/miss traffic is
-counted, and — above all — memoized runs are byte-identical to
-unmemoized ones.
+counted, a hit returns exactly what the miss priced, and — above all —
+a warm rerun is byte-identical to the cold run it skipped work for.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ import pytest
 
 from repro.bench.experiments.common import SETTING_PLAIN, SETTING_SGX_IN
 from repro.cache import (
-    DISABLED_MEMO,
     ProfileMemo,
     profile_memo,
     query_profile_key,
@@ -24,7 +23,9 @@ from repro.cache import (
 from repro.hardware.calibration import paper_calibration
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
+from repro.planner import estimate_candidate
 from repro.planner.candidates import static_candidate
+from repro.rewrite import estimate_rewrite, generate_rewrites
 from repro.trace import Tracer, to_jsonl, use_tracer
 from repro.workload import (
     JobCatalog,
@@ -81,31 +82,45 @@ class TestQueryProfileKey:
 
 
 class TestMemoScoping:
-    def test_ambient_memo_is_enabled_by_default(self):
-        assert profile_memo().enabled
+    def test_get_or_price_prices_each_key_once(self):
+        memo = ProfileMemo()
+        calls = []
 
-    def test_none_installs_the_disabled_sentinel(self):
-        with use_profile_memo(None) as memo:
-            assert memo is DISABLED_MEMO
-            assert profile_memo() is DISABLED_MEMO
-            assert not memo.enabled
-            memo.put("k" * 8, {"x": 1})
-            assert memo.get("k" * 8) is None
-            assert memo.hits == memo.misses == 0
+        def price():
+            calls.append(1)
+            return len(calls)
+
+        assert memo.get_or_price("a", price) == 1
+        assert memo.get_or_price("a", price) == 1
+        assert memo.get_or_price("b", price) == 2
+        assert (memo.hits, memo.misses) == (1, 2)
+        assert len(calls) == 2
+
+    def test_a_failed_pricing_stores_nothing(self):
+        memo = ProfileMemo()
+
+        def fail():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            memo.get_or_price("a", fail)
+        assert memo.get_or_price("a", lambda: 7) == 7
+        assert (memo.hits, memo.misses) == (0, 2)
 
     def test_scopes_nest_and_restore(self):
-        outer = ProfileMemo()
-        with use_profile_memo(outer):
+        outer, inner = ProfileMemo(), ProfileMemo()
+        with use_profile_memo(outer) as scoped:
+            assert scoped is outer
             assert profile_memo() is outer
-            with use_profile_memo(None):
-                assert profile_memo() is DISABLED_MEMO
+            with use_profile_memo(inner):
+                assert profile_memo() is inner
             assert profile_memo() is outer
         assert profile_memo() is not outer
 
     def test_scope_restores_after_an_exception(self):
         before = profile_memo()
         with pytest.raises(RuntimeError):
-            with use_profile_memo(None):
+            with use_profile_memo(ProfileMemo()):
                 raise RuntimeError("boom")
         assert profile_memo() is before
 
@@ -153,18 +168,54 @@ class TestCatalogMemoization:
             )
             assert memo.hits > 0
 
-    def test_disk_tier_shares_profiles_across_memos(self, tmp_path):
+
+def _field_types(value):
+    if dataclasses.is_dataclass(value):
+        return [type(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return [type(item) for item in value]
+
+
+class TestHitsReturnTheMissValue:
+    """At each pricing site, a hit returns the value the miss priced: equal
+    to an independent pricing on a fresh memo, field types included."""
+
+    def priced_twice(self, price):
+        cold_memo = ProfileMemo()
+        with use_profile_memo(cold_memo):
+            miss = price()
+            hit = price()
+        assert (cold_memo.hits, cold_memo.misses) == (1, 1)
+        with use_profile_memo(ProfileMemo()):
+            independent = price()
+        assert hit is miss
+        assert hit == independent
+        assert _field_types(hit) == _field_types(independent)
+
+    def test_catalog_price(self):
         template = TEMPLATES["scan-small"]
-        with use_profile_memo(ProfileMemo(tmp_path / "profiles")) as first:
-            cold = self.catalog().cost(template, SETTING_SGX_IN)
-            assert first.misses > 0
-        # A brand-new memo over the same directory: pure disk hits.
-        with use_profile_memo(ProfileMemo(tmp_path / "profiles")) as second:
-            warm = self.catalog().cost(template, SETTING_SGX_IN)
-            assert second.hits > 0
-            assert second.misses == 0
-        assert warm == cold
-        assert list((tmp_path / "profiles").glob("*.json"))
+        self.priced_twice(
+            lambda: JobCatalog(quick=True, variant=CodeVariant.NAIVE)._price(
+                template, SETTING_SGX_IN
+            )
+        )
+
+    def test_plan_estimate(self):
+        template = TEMPLATES["scan-small"]
+        candidate = static_candidate(template, CodeVariant.SIMD)
+        self.priced_twice(
+            lambda: estimate_candidate(
+                SimMachine(), SETTING_SGX_IN, template, candidate
+            )
+        )
+
+    def test_rewrite_estimate(self):
+        template = TEMPLATES["q12"]
+        rewrite = generate_rewrites(template)[0]
+        self.priced_twice(
+            lambda: estimate_rewrite(
+                SimMachine(), SETTING_SGX_IN, template, rewrite
+            )
+        )
 
 
 def _serve(*, queries=40):
@@ -187,57 +238,46 @@ def _serve(*, queries=40):
 
 
 class TestByteIdentity:
-    """The memo is a wall-clock optimization ONLY: results and traces of
-    memoized runs must equal the unmemoized runs byte for byte."""
+    """The memo is a wall-clock optimization ONLY: a warm rerun answered
+    from the memo must equal the cold run that priced it, byte for byte."""
 
-    def test_serving_run_identical_with_and_without_memo(self):
-        with use_profile_memo(None):
-            bare_metrics, bare_trace = _serve()
+    def test_serving_rerun_identical_on_a_warm_memo(self):
         memo = ProfileMemo()
         with use_profile_memo(memo):
-            _serve()  # priming run
+            cold_metrics, cold_trace = _serve()
+            hits_after_cold = memo.hits
             warm_metrics, warm_trace = _serve()
-        assert memo.hits > 0
-        assert warm_trace == bare_trace
-        assert warm_metrics.records == bare_metrics.records
-        assert vars(warm_metrics.counters) == vars(bare_metrics.counters)
+        assert memo.hits > hits_after_cold
+        assert warm_trace == cold_trace
+        assert warm_metrics.records == cold_metrics.records
+        assert vars(warm_metrics.counters) == vars(cold_metrics.counters)
 
-    def test_clustered_run_identical_with_and_without_memo(self):
+    def test_clustered_rerun_identical_on_a_warm_memo(self):
         from repro.cluster import ClusterConfig
         from repro.runconfig import RunConfig, use_run
 
         run = RunConfig(cluster=ClusterConfig.parse("1x2"))
-        with use_run(run), use_profile_memo(None):
-            bare_metrics, bare_trace = _serve()
         memo = ProfileMemo()
         with use_run(run), use_profile_memo(memo):
+            cold_metrics, cold_trace = _serve()
+            hits_after_cold = memo.hits
             warm_metrics, warm_trace = _serve()
-        assert warm_trace == bare_trace
-        assert warm_metrics.records == bare_metrics.records
+        assert memo.hits > hits_after_cold
+        assert warm_trace == cold_trace
+        assert warm_metrics.records == cold_metrics.records
 
 
 class TestSessionCounters:
     """The session driver reports memo traffic in the session trace."""
 
-    def run(self, *, memo):
+    def test_memoized_session_counts_traffic(self):
         from repro.bench.parallel import run_session
 
-        scope = ProfileMemo() if memo else None
-        with use_profile_memo(scope):
-            return run_session(["wl01"], quick=True, memo=memo)
-
-    def test_memoized_session_counts_traffic(self):
-        session = self.run(memo=True)
+        with use_profile_memo(ProfileMemo()):
+            session = run_session(["wl01"], quick=True)
         assert session.memo_misses > 0
         counters = session.tracer.counters
         assert counters.get("bench.memo.misses") == session.memo_misses
-
-    def test_no_memo_session_reports_zero_traffic(self):
-        session = self.run(memo=False)
-        assert session.memo_hits == 0
-        assert session.memo_misses == 0
-        assert "bench.memo.hits" not in session.tracer.counters
-        assert "bench.memo.misses" not in session.tracer.counters
 
     def test_memo_counters_never_enter_the_result_cache(self, tmp_path):
         from repro.bench.parallel import run_session
@@ -245,7 +285,7 @@ class TestSessionCounters:
 
         store = MemoStore(tmp_path / "cache")
         with use_profile_memo(ProfileMemo()):
-            run_session(["wl01"], quick=True, cache=store, memo=True)
+            run_session(["wl01"], quick=True, cache=store)
         for path in (tmp_path / "cache").glob("*.json"):
             text = path.read_text()
             assert "memo_hits" not in text
