@@ -55,10 +55,9 @@ class IndexNestedLoopJoin(JoinAlgorithm):
         matches = int(hit_mask.sum())
         # Map leaf positions back to original build rows via the bulk-load
         # sort order for materialization.
-        build_sort_order = np.argsort(build["key"], kind="stable")
         build_index = np.full(len(probe["key"]), -1, dtype=np.int64)
         matched = np.flatnonzero(hit_mask)
-        build_index[matched] = build_sort_order[leaf_positions[matched]]
+        build_index[matched] = tree.order[leaf_positions[matched]]
 
         # ---- cost ---------------------------------------------------------
         # Index footprint scales with the *logical* build side.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
+from repro.core.order import stable_argsort
 from repro.machine import ExecutionContext
 from repro.memory.access import AccessBatch, AccessProfile, CodeVariant, PatternKind
 from repro.tables.generator import JOIN_TUPLE_BYTES
@@ -97,8 +98,8 @@ class SortMergeJoin(JoinAlgorithm):
         threads = ctx.threads
 
         # ---- real computation -------------------------------------------
-        build_order = np.argsort(build["key"], kind="stable")
-        probe_order = np.argsort(probe["key"], kind="stable")
+        build_order = stable_argsort(build["key"])
+        probe_order = stable_argsort(probe["key"])
         sorted_build_keys = build["key"][build_order]
         sorted_probe_keys = probe["key"][probe_order]
         positions = np.searchsorted(sorted_build_keys, sorted_probe_keys)

@@ -24,6 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.joins.base import JoinAlgorithm, JoinResult
+from repro.core.order import stable_argsort
 from repro.core.structures.hashtable import ChainedHashTable, table_bytes_for
 from repro.enclave.sync import LockKind, record_lock_ops
 from repro.exec.queue import TaskQueueModel
@@ -62,7 +63,7 @@ def group_rows(ids: np.ndarray, num_groups: int) -> Tuple[np.ndarray, np.ndarray
     and ``offsets[g]:offsets[g+1]`` bounds group ``g``.  The sort is stable,
     so rows keep their ascending order inside each group.
     """
-    order = np.argsort(ids, kind="stable")
+    order = stable_argsort(ids)
     counts = np.bincount(ids, minlength=num_groups)
     offsets = np.zeros(num_groups + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

@@ -39,24 +39,20 @@ class Lcg:
     def batch(self, count: int) -> np.ndarray:
         """``count`` successive states as a uint64 array.
 
-        Uses the closed form x_{n+k} = a^k x_n + c (a^k - 1)/(a - 1), all
-        mod 2^64, evaluated with wrapping uint64 arithmetic so the whole
-        batch is produced without a Python-level loop per element.
+        Uses the closed form x_{n+k} = a^k x_n + c (1 + a + ... + a^(k-1)),
+        all mod 2^64: the powers of ``a`` are one ``cumprod`` and their
+        prefix sums one ``cumsum``, both in wrapping uint64 arithmetic, so
+        the states equal those of ``count`` calls to :meth:`next` bit for
+        bit.
         """
         if count < 0:
             raise ConfigurationError("count must be non-negative")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
-        a_powers = np.empty(count, dtype=np.uint64)
-        c_terms = np.empty(count, dtype=np.uint64)
-        a_powers[0] = np.uint64(_LCG_A)
-        c_terms[0] = np.uint64(_LCG_C)
-        a64 = np.uint64(_LCG_A)
-        c64 = np.uint64(_LCG_C)
         with np.errstate(over="ignore"):
-            for i in range(1, count):
-                a_powers[i] = a_powers[i - 1] * a64
-                c_terms[i] = c_terms[i - 1] * a64 + c64
+            a_powers = np.cumprod(np.full(count, _LCG_A, dtype=np.uint64))
+            geometric = np.concatenate((np.ones(1, dtype=np.uint64), a_powers[:-1]))
+            c_terms = np.uint64(_LCG_C) * np.cumsum(geometric)
             states = a_powers * np.uint64(self.state) + c_terms
         self.state = int(states[-1])
         return states

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.order import stable_argsort
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionContext
 from repro.memory.access import AccessBatch, AccessProfile, CodeVariant, PatternKind
@@ -65,7 +66,7 @@ class ParallelSort:
             raise ConfigurationError("keys must be 1-dimensional")
 
         # ---- real computation -------------------------------------------
-        order = np.argsort(keys, kind="stable")
+        order = stable_argsort(keys)
         if descending:
             order = order[::-1].copy()
         sorted_keys = keys[order]

@@ -14,6 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.order import stable_argsort
 from repro.errors import ConfigurationError
 
 #: Keys per node: 16 x 4-byte keys fill one cache line, the layout the
@@ -34,9 +35,10 @@ class BPlusTree:
         payloads = np.asarray(payloads)
         if len(keys) != len(payloads):
             raise ConfigurationError("keys and payloads must have equal length")
-        order = np.argsort(keys, kind="stable")
-        self.leaf_keys = keys[order]
-        self.leaf_payloads = payloads[order]
+        #: Input row of each leaf slot (the bulk-load sort order).
+        self.order = stable_argsort(keys)
+        self.leaf_keys = keys[self.order]
+        self.leaf_payloads = payloads[self.order]
         if len(self.leaf_keys) > 1 and (np.diff(self.leaf_keys) == 0).any():
             raise ConfigurationError("B+-tree requires unique keys")
         self.fanout = fanout
@@ -87,7 +89,13 @@ class BPlusTree:
         # Each inner level i narrows the candidate group; because level i
         # holds every fanout-th key of level i+1, a searchsorted on the
         # whole level equals the stepwise descent but stays vectorized.
-        positions = np.searchsorted(self.leaf_keys, probe_keys, side="left")
+        # Searching the probes in key order keeps consecutive searches in
+        # nearby leaves; the positions are scattered back to probe order.
+        probe_order = stable_argsort(probe_keys)
+        positions = np.empty(len(probe_keys), dtype=np.int64)
+        positions[probe_order] = np.searchsorted(
+            self.leaf_keys, probe_keys[probe_order], side="left"
+        )
         positions = np.clip(positions, 0, self.num_keys - 1)
         hits = self.leaf_keys[positions] == probe_keys
         positions = np.where(hits, positions, -1)

@@ -21,6 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.order import stable_argsort
 from repro.errors import ConfigurationError
 
 _KNUTH_MULTIPLIER = np.uint64(2654435761)
@@ -73,8 +74,11 @@ class ChainedHashTable:
     # -- construction ----------------------------------------------------
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
-        hashed = keys.astype(np.uint64) * _KNUTH_MULTIPLIER
-        return (hashed & self._mask).astype(np.int64)
+        hashed = keys.astype(np.uint64)
+        hashed *= _KNUTH_MULTIPLIER
+        hashed &= self._mask
+        # The mask is below 2**63, so the bits read the same as int64.
+        return hashed.view(np.int64)
 
     def _build(self) -> None:
         """Vectorized equivalent of chained insertion.
@@ -84,7 +88,7 @@ class ChainedHashTable:
         *descending* index order.  We reproduce exactly that linkage.
         """
         buckets = self._hash(self.keys)
-        order = np.argsort(buckets, kind="stable")
+        order = stable_argsort(buckets)
         sorted_buckets = buckets[order]
         # Within one bucket run (ascending index order because the sort is
         # stable), element i is pointed to by element i+1 — the later

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.joins.base import JoinAlgorithm, JoinResult
 from repro.core.joins.radix import group_rows, match_first
 from repro.core.ops.aggregate import AggFunc, AggregateResult, HashAggregate
+from repro.core.order import stable_argsort
 from repro.core.structures.hashtable import table_bytes_for
 from repro.errors import ConfigurationError
 from repro.machine import ExecutionContext
@@ -393,7 +394,7 @@ class ExternalGroupAggregate:
                 agg_chunks.setdefault(name, []).append(column)
 
         group_keys = np.concatenate(group_chunks) if group_chunks else np.empty(0)
-        order = np.argsort(group_keys, kind="stable")
+        order = stable_argsort(group_keys)
         aggregates = {
             name: np.concatenate(chunks)[order]
             for name, chunks in agg_chunks.items()

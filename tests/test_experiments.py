@@ -21,6 +21,11 @@ PINS = json.loads(
     (pathlib.Path(__file__).with_name("paper_digests.json")).read_text()
 )
 
+#: Paper-claim snapshots per experiment: ``[{series, x, value}, ...]``.
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).with_name("goldens.json")).read_text()
+)
+
 # Quick-mode experiment results are deterministic per seed; cache one run
 # of each (with its CSV digest) so the module's tests share it.
 _cache = {}
@@ -362,23 +367,11 @@ class TestGoldenValues:
 
     TOLERANCE = 0.15
 
-    @pytest.fixture(scope="class")
-    def goldens(self):
-        import json
-        import pathlib
-
-        path = pathlib.Path(__file__).parent / "goldens.json"
-        return json.loads(path.read_text())
-
-    @pytest.mark.parametrize(
-        "experiment_id",
-        ["fig01", "fig03", "fig05", "fig07", "fig08", "fig10", "fig11",
-         "fig12", "fig13", "fig15", "fig16", "tab01", "ext01"],
-    )
-    def test_rows_match_goldens(self, goldens, experiment_id):
+    @pytest.mark.parametrize("experiment_id", sorted(GOLDENS))
+    def test_rows_match_goldens(self, experiment_id):
         report = report_for(experiment_id)
         drifted = []
-        for entry in goldens[experiment_id]:
+        for entry in GOLDENS[experiment_id]:
             measured = report.value(entry["series"], entry["x"])
             expected = entry["value"]
             if expected == 0:

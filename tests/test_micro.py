@@ -87,6 +87,15 @@ class TestLcg:
         batched = Lcg(seed=17)
         assert batched.batch(64).tolist() == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 88172645463325252, 2**64 - 1])
+    def test_closed_form_equals_the_scalar_loop(self, seed):
+        # The powers of a and their sums wrap mod 2**64 thousands of times.
+        scalar = Lcg(seed=seed)
+        expected = [scalar.next() for _ in range(5000)]
+        batched = Lcg(seed=seed)
+        assert batched.batch(5000).tolist() == expected
+        assert batched.state == scalar.state
+
     def test_batch_continues_state(self):
         lcg = Lcg(seed=5)
         first = lcg.batch(10)
