@@ -9,11 +9,12 @@ count, never the logical sizes the cost model prices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.bench.runner import PAPER_REPETITIONS, RunStats, repeat_runs
 from repro.enclave.runtime import ExecutionSetting
 from repro.machine import SimMachine
+from repro.tables import TpchData, generate_tpch
 
 #: The paper's canonical join inputs (Sec. 4): 100 MB build, 400 MB probe.
 BUILD_BYTES = 100e6
@@ -60,6 +61,40 @@ def measure_stats(
 ) -> RunStats:
     """Repeat ``measure`` per the paper's protocol (mean ± std)."""
     return repeat_runs(measure, runs=config.runs)
+
+
+def tpch_per_seed(
+    config: BenchConfig, scale_factor: float
+) -> Callable[[int], TpchData]:
+    """Return ``seed -> TpchData`` that generates each seed's dataset once.
+
+    The paper generates its TPC-H database once and times every query
+    against it; here every (query, case) cell of one repetition seed reads
+    the same dataset.  The memo lives in the returned function, so it dies
+    with the experiment's ``run()`` call: nothing is shared across runs.  It
+    holds ``config.runs`` datasets at once.
+
+    Every column is made read-only before it is shared, so an operator that
+    writes into its input raises ``ValueError`` instead of changing the next
+    cell's result.
+    """
+    memo: Dict[int, TpchData] = {}
+
+    def data_for(seed: int) -> TpchData:
+        data = memo.get(seed)
+        if data is None:
+            data = generate_tpch(
+                scale_factor, seed=seed, physical_sf_cap=config.tpch_sf_cap
+            )
+            for table in data.tables:
+                for name in table.column_names:
+                    table.column(name).data.flags.writeable = False
+            # Repetition threads ask for distinct seeds; setdefault still
+            # hands every caller one instance should two ever race.
+            data = memo.setdefault(seed, data)
+        return data
+
+    return data_for
 
 
 def mrows(rows_per_second: float) -> float:

@@ -24,7 +24,6 @@ from repro.core.queries import QueryExecutor, TPCH_QUERIES
 from repro.enclave.enclave import EnclaveConfig
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
-from repro.tables import generate_tpch
 from repro.units import GiB
 
 EXPERIMENT_ID = "ext05"
@@ -40,6 +39,7 @@ def run(
     """Query runtimes (ms) for the four execution-mode x sizing cases."""
     config = common.BenchConfig(quick)
     report = ExperimentReport(EXPERIMENT_ID, TITLE, PAPER_REFERENCE)
+    tpch = common.tpch_per_seed(config, 10.0)
     for query in QUERIES:
         for label, pipelined, dynamic in (
             ("materializing, static enclave", False, False),
@@ -50,9 +50,7 @@ def run(
 
             def measure(seed: int, _q=query, _pipe=pipelined, _dyn=dynamic):
                 sim = common.make_machine(machine)
-                data = generate_tpch(
-                    10.0, seed=seed, physical_sf_cap=config.tpch_sf_cap
-                )
+                data = tpch(seed)
                 tables = {
                     "customer": data.customer,
                     "orders": data.orders,

@@ -15,7 +15,6 @@ from repro.bench.report import ExperimentReport
 from repro.core.queries import QueryExecutor, TPCH_QUERIES
 from repro.machine import SimMachine
 from repro.memory.access import CodeVariant
-from repro.tables import generate_tpch
 
 EXPERIMENT_ID = "fig17"
 TITLE = "TPC-H Q3/Q10/Q12/Q19 (SF 10): plain vs SGX vs SGX optimized"
@@ -36,14 +35,13 @@ def run(
     """Query runtimes (ms) for the three configurations."""
     config = common.BenchConfig(quick)
     report = ExperimentReport(EXPERIMENT_ID, TITLE, PAPER_REFERENCE)
+    tpch = common.tpch_per_seed(config, SCALE_FACTOR)
     for query_name, make_plan in TPCH_QUERIES.items():
         for case_label, setting, variant in _CASES:
 
             def measure(seed: int, _plan=make_plan, _set=setting, _var=variant):
                 sim = common.make_machine(machine)
-                data = generate_tpch(
-                    SCALE_FACTOR, seed=seed, physical_sf_cap=config.tpch_sf_cap
-                )
+                data = tpch(seed)
                 tables = {
                     "customer": data.customer,
                     "orders": data.orders,
